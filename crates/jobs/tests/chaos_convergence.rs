@@ -25,9 +25,11 @@ fn canonical_of(journal: &std::path::Path) -> String {
     report(journal).unwrap().canonical_text()
 }
 
-/// The fault-free baseline every chaos variant must reproduce.
-fn baseline() -> String {
-    let journal = temp_journal("baseline");
+/// The fault-free baseline every chaos variant must reproduce. Tests run
+/// in parallel threads of one process, so each caller passes its own
+/// `tag` and gets its own journal.
+fn baseline(tag: &str) -> String {
+    let journal = temp_journal(&format!("baseline-{tag}"));
     let summary = run(&spec(), &journal, &RunnerConfig::default()).unwrap();
     assert!(summary.complete());
     canonical_of(&journal)
@@ -35,7 +37,7 @@ fn baseline() -> String {
 
 #[test]
 fn chaos_run_converges_to_the_fault_free_report() {
-    let baseline = baseline();
+    let baseline = baseline("full");
     let journal = temp_journal("full");
     let rc = RunnerConfig {
         threads: 2,
@@ -61,7 +63,7 @@ fn chaos_run_converges_to_the_fault_free_report() {
 
 #[test]
 fn killed_then_resumed_chaos_run_converges() {
-    let baseline = baseline();
+    let baseline = baseline("resumed");
     let journal = temp_journal("resumed");
     let chaos = Some(
         ChaosPlan::new(0xF1FE)

@@ -5,6 +5,10 @@
 //! value kinds, deterministic (sorted-key) object printing, pretty and
 //! compact rendering, and a strict recursive-descent parser sufficient to
 //! round-trip everything the printer emits.
+//!
+//! The parser is linear in the input length: each string literal is read
+//! in one pass that copies unescaped runs whole. It relies on its `&str`
+//! input already being valid UTF-8 and never re-validates it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -241,7 +245,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing input at byte {pos}"));
@@ -290,13 +294,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -307,7 +312,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -329,14 +334,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -349,7 +354,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -367,20 +372,31 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Reads one string literal in a single pass. Unescaped runs are copied
+/// whole: `"` and `\` are ASCII, so every run boundary is a char boundary
+/// of the already-valid `text` and nothing is re-validated.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return err(format!("expected string at byte {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        let start = *pos;
+        *pos += bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - start);
+        out.push_str(&text[start..*pos]);
         match bytes.get(*pos) {
             None => return err("unterminated string"),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The scan stops only at `"` or `\`, so this is an escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -413,22 +429,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
-                    message: "invalid UTF-8 in string".into(),
-                })?;
-                let Some(c) = rest.chars().next() else {
-                    return err(format!("unexpected end of string at byte {pos}"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -439,9 +445,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     ) {
         *pos += 1;
     }
-    // The scanned range is ASCII digits/signs/dots by construction; an
-    // empty fallback just reports "invalid number" below.
-    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or("");
+    // The scanned range is ASCII digits/signs/dots, so both ends are char
+    // boundaries; an empty range just reports "invalid number" below.
+    let text = &text[start..*pos];
     match text.parse::<f64>() {
         Ok(n) => Ok(Json::Num(n)),
         Err(_) => err(format!("invalid number {text:?} at byte {start}")),
@@ -486,7 +492,18 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "nul", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "nul",
+            "1 2",
+            "\"unterminated",
+            "\"trailing backslash\\",
+            "\"\\u12",
+            "\"ends in ✓",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
