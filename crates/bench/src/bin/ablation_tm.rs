@@ -6,13 +6,14 @@
 //! Run with `cargo run --release -p fires-bench --bin ablation_tm
 //! [circuit-name]`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::FiresConfig;
 use fires_obs::{Json, RunReport};
 
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     let name = args
         .first()
         .cloned()

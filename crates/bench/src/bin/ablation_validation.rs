@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p fires-bench --bin ablation_validation
 //! [circuit names...]`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_circuits::suite::table2_suite;
 use fires_core::{Fires, FiresConfig, ValidationPolicy};
 use fires_obs::{Json, RunReport};
@@ -13,6 +13,7 @@ use fires_obs::{Json, RunReport};
 fn main() {
     let (json, mut filter) = JsonOut::from_env();
     let threads = Threads::extract(&mut filter).count();
+    reject_unknown_flags(&filter);
     let mut rr = RunReport::new("ablation_validation", "suite");
     let mut rows = Vec::new();
     let default_rows = [

@@ -6,13 +6,14 @@
 //! Run with `cargo run --release -p fires-bench --bin c_distribution
 //! [circuit-names...]`.
 
-use fires_bench::{run_fires, JsonOut, Threads};
+use fires_bench::{reject_unknown_flags, run_fires, JsonOut, Threads};
 use fires_core::FiresConfig;
 use fires_obs::{Json, RunReport};
 
 fn main() {
     let (json, mut filter) = JsonOut::from_env();
     let threads = Threads::extract(&mut filter).count();
+    reject_unknown_flags(&filter);
     let mut rr = RunReport::new("c_distribution", "suite");
     let mut dists = Json::object();
     let defaults = [

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin compare_related`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::{funtest_like, FiresConfig};
 use fires_netlist::Circuit;
 use fires_obs::{Json, RunReport};
@@ -49,6 +49,7 @@ fn row(
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     println!("FIRES vs FUNTEST-like combinational envelope (untestable faults)\n");
     let mut rr = RunReport::new("compare_related", "suite");
     let mut rows = Vec::new();

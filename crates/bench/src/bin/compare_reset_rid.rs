@@ -14,7 +14,7 @@
 //! Run with `cargo run --release -p fires-bench --bin compare_reset_rid`.
 
 use fires_bdd::{reset_redundant, ResetRidOutcome};
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::FiresConfig;
 use fires_netlist::{Circuit, FaultList, LineGraph};
 use fires_obs::{Json, RunReport};
@@ -77,6 +77,7 @@ fn analyze(
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     println!("FIRES vs reset-assuming implicit state enumeration (all-zero reset)\n");
     let mut rr = RunReport::new("compare_reset_rid", "suite");
     let mut rows = Vec::new();

@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin fig2_fault_universe`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::FiresConfig;
 use fires_netlist::{Circuit, FaultList, LineGraph};
 use fires_obs::{Json, RunReport};
@@ -75,6 +75,7 @@ fn analyze(name: &str, circuit: &Circuit, t: &mut TextTable) -> Json {
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     let mut rr = RunReport::new("fig2_fault_universe", "figures+s27");
     let mut t = TextTable::new([
         "Circuit",

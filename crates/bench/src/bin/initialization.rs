@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin initialization`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::{remove_redundancies, FiresConfig};
 use fires_netlist::{Circuit, LineGraph};
 use fires_obs::{Json, RunReport};
@@ -79,6 +79,7 @@ fn analyze(
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     println!("Initialization analysis: synchronizing sequences vs c-cycle redundancy\n");
     let mut rr = RunReport::new("initialization", "figures+s27+fsm");
     let mut rows = Vec::new();

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p fires-bench --bin random_grading
 //! [circuit-name] [vectors]`.
 
-use fires_bench::{record_fault_sim, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{record_fault_sim, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::FiresConfig;
 use fires_netlist::{FaultList, LineGraph};
 use fires_sim::{parallel_simulate_faults, random_vectors};
@@ -13,6 +13,7 @@ use fires_sim::{parallel_simulate_faults, random_vectors};
 fn main() {
     let (json, mut args) = JsonOut::from_env();
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     let name = args.first().map(String::as_str).unwrap_or("s386_like");
     let n_vectors: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
     let entry = fires_circuits::suite::by_name(name).expect("unknown suite circuit");

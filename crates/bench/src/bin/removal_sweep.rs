@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p fires-bench --bin removal_sweep
 //! [circuit-names...] [--max-iters N]`.
 
-use fires_bench::{json_row, JsonOut, TextTable};
+use fires_bench::{extract_number, json_row, reject_unknown_flags, JsonOut, TextTable};
 use fires_core::{remove_redundancies, FiresConfig};
 use fires_obs::{Json, RunReport};
 
@@ -13,13 +13,8 @@ fn main() {
     let (json, mut filter) = JsonOut::from_env();
     let mut rr = RunReport::new("removal_sweep", "suite");
     let mut rows = Vec::new();
-    let mut max_iters = 60usize;
-    if let Some(pos) = filter.iter().position(|a| a == "--max-iters") {
-        if let Some(n) = filter.get(pos + 1).and_then(|s| s.parse().ok()) {
-            max_iters = n;
-        }
-        filter.drain(pos..(pos + 2).min(filter.len()));
-    }
+    let max_iters: usize = extract_number(&mut filter, "--max-iters").unwrap_or(60);
+    reject_unknown_flags(&filter);
     let defaults = [
         "s208_like",
         "s386_like",

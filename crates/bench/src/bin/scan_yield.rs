@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use fires_atpg::{Atpg, AtpgConfig};
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, reject_unknown_flags, run_fires, JsonOut, TextTable, Threads};
 use fires_core::FiresConfig;
 use fires_netlist::{transform, Circuit, Fault, LineGraph};
 use fires_obs::{Json, RunReport};
@@ -95,6 +95,7 @@ fn analyze(
 fn main() {
     let (json, mut filter) = JsonOut::from_env();
     let threads = Threads::extract(&mut filter).count();
+    reject_unknown_flags(&filter);
     println!("Scan-induced yield loss: redundant faults that full-scan rejects\n");
     let mut rr = RunReport::new("scan_yield", "suite");
     let mut rows = Vec::new();

@@ -9,7 +9,9 @@
 //! The trace below is produced by direct engine calls; the final
 //! identification runs as a `fires-jobs` campaign like the other tables.
 
-use fires_bench::{jobs_campaign, JsonOut, ProfileOut, TextTable, Threads, TraceOut};
+use fires_bench::{
+    jobs_campaign, reject_unknown_flags, JsonOut, ProfileOut, TextTable, Threads, TraceOut,
+};
 use fires_core::{Fires, FiresConfig, IndicatorView};
 
 fn main() {
@@ -17,6 +19,7 @@ fn main() {
     let trace = TraceOut::extract(&mut args);
     let profile = ProfileOut::extract(&mut args);
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     let circuit = fires_circuits::figures::figure7();
     let fires = Fires::new(&circuit, FiresConfig::with_max_frames(3));
     let stem = fires.lines().stem_of(circuit.find("c").expect("stem c"));

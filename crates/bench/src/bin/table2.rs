@@ -20,7 +20,8 @@
 //! (DESIGN.md §12).
 
 use fires_bench::{
-    jobs_campaign_tuned, json_row, CampaignTuning, JsonOut, ProfileOut, Threads, TraceOut,
+    jobs_campaign_tuned, json_row, reject_unknown_flags, CampaignTuning, JsonOut, ProfileOut,
+    Threads, TraceOut,
 };
 use fires_circuits::suite::table2_suite;
 use fires_obs::{Json, RunReport};
@@ -31,6 +32,7 @@ fn main() {
     let profile = ProfileOut::extract(&mut filter);
     let threads = Threads::extract(&mut filter).count();
     let tuning = CampaignTuning::extract(&mut filter);
+    reject_unknown_flags(&filter);
     let suite = table2_suite();
     let names: Vec<&str> = suite
         .iter()

@@ -10,8 +10,8 @@
 
 use fires_atpg::Atpg;
 use fires_bench::{
-    fires_targets, hitec_like, jobs_campaign, record_campaign, JsonOut, ProfileOut, TextTable,
-    Threads, TraceOut,
+    fires_targets, hitec_like, jobs_campaign, record_campaign, reject_unknown_flags, JsonOut,
+    ProfileOut, TextTable, Threads, TraceOut,
 };
 use fires_netlist::LineGraph;
 
@@ -20,6 +20,7 @@ fn main() {
     let trace = TraceOut::extract(&mut args);
     let profile = ProfileOut::extract(&mut args);
     let threads = Threads::extract(&mut args).count();
+    reject_unknown_flags(&args);
     let name = args.first().map(String::as_str).unwrap_or("s838_like");
     // Default cap keeps the harness runtime sane on redundancy-rich
     // generated circuits (pass a large number to target everything).

@@ -60,16 +60,38 @@ impl CampaignTuning {
     /// leaving positional arguments in place (same idiom as
     /// [`Threads::extract`]).
     pub fn extract(args: &mut Vec<String>) -> CampaignTuning {
-        let step_budget =
-            extract_flag(args, "--step-budget").map(|v| parse_or_die(&v, "--step-budget"));
-        let retries = extract_flag(args, "--retries").map_or(0, |v| parse_or_die(&v, "--retries"));
         CampaignTuning {
-            step_budget,
-            retries,
+            step_budget: extract_number(args, "--step-budget"),
+            retries: extract_number(args, "--retries").unwrap_or(0),
         }
     }
 }
 
+/// Removes `--flag N` / `--flag=N` from `args` and parses `N`; a value
+/// that is not a number exits with status 2.
+pub fn extract_number<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T> {
+    extract_flag(args, flag).map(|value| {
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("error: {flag} expects a number, got {value:?}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Exits with status 2 if an argument left after every flag was
+/// extracted looks like a flag: a mistyped `--jsn out.json` must fail,
+/// not run and silently write nothing.
+pub fn reject_unknown_flags(args: &[String]) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag {flag:?}");
+        std::process::exit(2);
+    }
+}
+
+/// Removes every `--flag VALUE` / `--flag=VALUE` from `args`, leaving
+/// positional arguments in place, and returns the last value. The one
+/// flag extractor of the bench binaries; a trailing flag without a
+/// value exits with status 2.
 fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let prefix = format!("{flag}=");
     let mut value = None;
@@ -91,13 +113,6 @@ fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
         }
     }
     value
-}
-
-fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} expects a number, got {value:?}");
-        std::process::exit(2);
-    })
 }
 
 /// Runs the named circuits as a `fires-jobs` campaign and returns the

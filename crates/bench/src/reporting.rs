@@ -12,6 +12,8 @@ use fires_atpg::CampaignSummary;
 use fires_obs::{ChromeTraceSubscriber, Json, RunReport};
 use fires_sim::FaultSimSummary;
 
+use crate::extract_flag;
+
 /// The `--json` output destination extracted from the command line.
 #[derive(Clone, Debug, Default)]
 pub struct JsonOut {
@@ -22,25 +24,9 @@ impl JsonOut {
     /// Removes a `--json <path>` or `--json=<path>` flag from `args`,
     /// leaving the positional arguments in place.
     pub fn extract(args: &mut Vec<String>) -> JsonOut {
-        let mut path = None;
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(p) = args[i].strip_prefix("--json=") {
-                path = Some(PathBuf::from(p));
-                args.remove(i);
-            } else if args[i] == "--json" {
-                args.remove(i);
-                if i < args.len() {
-                    path = Some(PathBuf::from(args.remove(i)));
-                } else {
-                    eprintln!("error: --json needs a file path");
-                    std::process::exit(2);
-                }
-            } else {
-                i += 1;
-            }
+        JsonOut {
+            path: extract_flag(args, "--json").map(PathBuf::from),
         }
-        JsonOut { path }
     }
 
     /// Parses the process arguments, returning the sink and the remaining
@@ -86,25 +72,9 @@ impl ProfileOut {
     /// Removes a `--profile <path>` or `--profile=<path>` flag from
     /// `args`, leaving the positional arguments in place.
     pub fn extract(args: &mut Vec<String>) -> ProfileOut {
-        let mut path = None;
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(p) = args[i].strip_prefix("--profile=") {
-                path = Some(PathBuf::from(p));
-                args.remove(i);
-            } else if args[i] == "--profile" {
-                args.remove(i);
-                if i < args.len() {
-                    path = Some(PathBuf::from(args.remove(i)));
-                } else {
-                    eprintln!("error: --profile needs a file path");
-                    std::process::exit(2);
-                }
-            } else {
-                i += 1;
-            }
+        ProfileOut {
+            path: extract_flag(args, "--profile").map(PathBuf::from),
         }
-        ProfileOut { path }
     }
 
     /// Whether `--profile` was passed.
@@ -162,24 +132,7 @@ impl TraceOut {
     /// leaving positional arguments in place, and installs the trace
     /// subscriber when the flag was given.
     pub fn extract(args: &mut Vec<String>) -> TraceOut {
-        let mut path = None;
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(p) = args[i].strip_prefix("--trace=") {
-                path = Some(PathBuf::from(p));
-                args.remove(i);
-            } else if args[i] == "--trace" {
-                args.remove(i);
-                if i < args.len() {
-                    path = Some(PathBuf::from(args.remove(i)));
-                } else {
-                    eprintln!("error: --trace needs a file path");
-                    std::process::exit(2);
-                }
-            } else {
-                i += 1;
-            }
-        }
+        let path = extract_flag(args, "--trace").map(PathBuf::from);
         let subscriber = if path.is_some() {
             let installed = fires_obs::install_chrome_trace();
             if installed.is_none() {
@@ -233,25 +186,7 @@ impl Threads {
     /// Removes a `--threads N` / `--threads=N` / `--threads auto` flag
     /// from `args`, leaving positional arguments in place.
     pub fn extract(args: &mut Vec<String>) -> Threads {
-        let mut value: Option<String> = None;
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(v) = args[i].strip_prefix("--threads=") {
-                value = Some(v.to_string());
-                args.remove(i);
-            } else if args[i] == "--threads" {
-                args.remove(i);
-                if i < args.len() {
-                    value = Some(args.remove(i));
-                } else {
-                    eprintln!("error: --threads needs a worker count (or `auto`)");
-                    std::process::exit(2);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        let count = match value.as_deref() {
+        let count = match extract_flag(args, "--threads").as_deref() {
             None => 1,
             Some("auto") => std::thread::available_parallelism().map_or(1, |n| n.get()),
             Some(v) => match v.parse::<usize>() {

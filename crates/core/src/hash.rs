@@ -26,9 +26,10 @@ use fires_netlist::Circuit;
 
 use crate::config::{FiresConfig, ValidationPolicy};
 
-/// The splitmix64 finalizer: cheap, well-mixed, dependency-free.
+/// The splitmix64 finalizer: cheap, well-mixed, dependency-free. The
+/// one copy in the workspace; `fires-jobs` builds its chaos rolls on it.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

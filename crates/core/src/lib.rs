@@ -70,7 +70,7 @@ pub use envelope::{funtest_like, EnvelopeReport};
 pub use fire::{fire, FireReport};
 pub use fires::{Fires, StemCtx, StemCtxBuilder, StemFindings, StemOutcome, StemStats};
 pub use guard::{Budget, ExhaustionReason};
-pub use hash::{content_hash, ContentHasher};
+pub use hash::{content_hash, splitmix64, ContentHasher};
 pub use instrument::{PhaseTimes, RuleProfile, RunMetrics};
 pub use removal::{remove_fault, remove_redundancies, sweep_constants, RemovalOutcome};
 pub use report::{FiresReport, IdentifiedFault, ProcessTrace};

@@ -57,7 +57,7 @@ pub mod runner;
 pub mod spec;
 pub mod summary;
 
-pub use chaos::{site_roll, splitmix64, ChaosPlan};
+pub use chaos::{site_roll, ChaosPlan, Site};
 pub use error::JobError;
 pub use merge::{CampaignReport, TaskReport};
 pub use runner::{

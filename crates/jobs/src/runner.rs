@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use fires_core::{Budget, CancelToken, CoreError, Fires, StemCtx, StemOutcome};
 
-use crate::chaos::ChaosPlan;
+use crate::chaos::{ChaosPlan, Site};
 use crate::error::JobError;
 use crate::journal::{
     self, EventRecord, Journal, JournalContents, ProgressRecord, UnitRecord, UnitStatus,
@@ -533,9 +533,9 @@ fn append_with_retry(
 ) -> Result<u32, JobError> {
     let mut attempt: u32 = 0;
     loop {
-        let injected = rc
-            .chaos
-            .is_some_and(|plan| plan.journal_append_fails(task, stem, attempt));
+        let injected = rc.chaos.is_some_and(|plan| {
+            plan.hits(Site::JournalIo, task as u64, stem as u64, attempt.into())
+        });
         let result = if injected {
             Err(JobError::io(
                 lock_unpoisoned(journal).path().to_path_buf(),
@@ -632,7 +632,7 @@ fn run_attempt(
             if let Some(d) = plan.unit_delay(task, stem, attempt) {
                 std::thread::sleep(d);
             }
-            if plan.unit_panics(task, stem, attempt) {
+            if plan.hits(Site::UnitPanic, task as u64, stem as u64, attempt.into()) {
                 panic!("chaos: injected unit panic");
             }
         }

@@ -46,15 +46,17 @@
 //! `--folded` additionally writes folded stacks for `flamegraph.pl`,
 //! inferno or speedscope.
 //!
-//! Chaos flags (deterministic fault injection for robustness testing):
-//! `--chaos-seed N` enables the plan; `--chaos-panic P`,
-//! `--chaos-journal P` and `--chaos-delay P` set per-mille fault rates,
-//! `--chaos-delay-ms MS` bounds an injected delay. `fires serve`
-//! additionally takes service-layer chaos rates sharing the same seed:
-//! `--chaos-accept P`, `--chaos-read P`, `--chaos-write P` (socket
-//! faults), `--chaos-stall P` + `--chaos-stall-ms MS` (client stalls),
-//! `--chaos-disk P` (injected ENOSPC on cache/heartbeat writes) and
-//! `--chaos-wakeup-ms MS` (delayed worker wakeups).
+//! Chaos flags (deterministic fault injection for robustness testing)
+//! all set one [`ChaosPlan`], parsed by one table-driven function.
+//! `--chaos-seed N` enables the plan; every other chaos flag needs it.
+//! `--chaos-panic P`, `--chaos-journal P` and `--chaos-delay P` set
+//! per-mille fault rates, `--chaos-delay-ms MS` (default 2) bounds an
+//! injected delay. `fires serve` additionally takes the service-site
+//! rates: `--chaos-accept P`, `--chaos-read P`, `--chaos-write P`
+//! (socket faults), `--chaos-stall P` + `--chaos-stall-ms MS` (client
+//! stalls, default 20 ms), `--chaos-disk P` (injected ENOSPC on
+//! cache/heartbeat writes) and `--chaos-wakeup-ms MS` (delayed worker
+//! wakeups); `run` and `resume` reject them.
 //!
 //! `run` journals to `<out>/<name>.jsonl` and writes machine-readable
 //! observability reports next to it (`<name>.report.json`, one
@@ -81,14 +83,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use fires_jobs::{
-    journal, report, resume, run, CampaignSpec, ChaosPlan, JournalSummary, RunSummary, RunnerConfig,
+    journal, report, resume, run, CampaignSpec, ChaosPlan, JournalSummary, RunSummary,
+    RunnerConfig, Site,
 };
 use fires_obs::{
     compare_reports, CompareConfig, CompareOutcome, DeltaStatus, Json, RuleProfile, RunReport,
 };
-use fires_serve::{
-    run_server, Connection, Request, Response, ServeChaos, ServeConfig, SubmitRequest,
-};
+use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -162,14 +163,14 @@ chaos flags (deterministic fault injection; requires --chaos-seed):
   --chaos-panic P      per-mille rate of injected unit panics
   --chaos-journal P    per-mille rate of injected journal IO errors
   --chaos-delay P      per-mille rate of injected unit delays
-  --chaos-delay-ms MS  upper bound of an injected delay
+  --chaos-delay-ms MS  upper bound of an injected delay (default 2)
 
-serve chaos flags (fires serve only; share --chaos-seed):
+serve chaos flags (fires serve only; also need --chaos-seed):
   --chaos-accept P     per-mille rate of dropped accepted connections
   --chaos-read P       per-mille rate of abandoned request reads
   --chaos-write P      per-mille rate of failed response writes
   --chaos-stall P      per-mille rate of injected client stalls
-  --chaos-stall-ms MS  duration of an injected stall
+  --chaos-stall-ms MS  duration of an injected stall (default 20)
   --chaos-disk P       per-mille rate of injected ENOSPC disk faults
   --chaos-wakeup-ms MS fixed delay on every worker wakeup";
 
@@ -203,8 +204,10 @@ fn parse_number<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag} expects a number, got {value:?}"))
 }
 
-/// Runner knobs shared by `run` and `resume`.
-fn runner_config(args: &mut Vec<String>) -> Result<RunnerConfig, String> {
+/// Runner knobs shared by `run`, `resume` and `serve`. Only `serve`
+/// takes the service-site chaos flags; `run` and `resume` leave them in
+/// `args`, where they are rejected as unexpected.
+fn runner_config(args: &mut Vec<String>, serve: bool) -> Result<RunnerConfig, String> {
     let mut rc = RunnerConfig::default();
     if let Some(threads) = take_value(args, "--threads")? {
         rc.threads = parse_number(&threads, "--threads")?;
@@ -218,92 +221,66 @@ fn runner_config(args: &mut Vec<String>) -> Result<RunnerConfig, String> {
     if let Some(ms) = take_value(args, "--backoff-ms")? {
         rc.backoff = Duration::from_millis(parse_number(&ms, "--backoff-ms")?);
     }
-    rc.chaos = chaos_plan(args)?;
+    rc.chaos = chaos_plan(args, serve)?;
     Ok(rc)
 }
 
-/// Parses the chaos flags into a plan; `None` without `--chaos-seed`.
-fn chaos_plan(args: &mut Vec<String>) -> Result<Option<ChaosPlan>, String> {
-    let seed = take_value(args, "--chaos-seed")?;
-    let panic = take_value(args, "--chaos-panic")?;
-    let journal = take_value(args, "--chaos-journal")?;
-    let delay = take_value(args, "--chaos-delay")?;
-    let delay_ms = take_value(args, "--chaos-delay-ms")?;
-    let Some(seed) = seed else {
-        if panic.is_some() || journal.is_some() || delay.is_some() || delay_ms.is_some() {
-            return Err("chaos rates need --chaos-seed".into());
-        }
-        return Ok(None);
-    };
-    let mut plan = ChaosPlan::new(parse_number(&seed, "--chaos-seed")?);
-    if let Some(p) = panic {
-        plan = plan.with_unit_panics(parse_number(&p, "--chaos-panic")?);
-    }
-    if let Some(p) = journal {
-        plan = plan.with_journal_errors(parse_number(&p, "--chaos-journal")?);
-    }
-    let rate = match delay {
-        Some(p) => parse_number(&p, "--chaos-delay")?,
-        None => 0,
-    };
-    let bound = match delay_ms {
-        Some(ms) => parse_number(&ms, "--chaos-delay-ms")?,
-        None => 2,
-    };
-    if rate > 0 {
-        plan = plan.with_delays(rate, bound);
-    }
-    Ok(Some(plan))
+/// What a `--chaos-*` flag sets: one site's per-mille rate, or a
+/// duration in milliseconds.
+#[derive(Clone, Copy)]
+enum ChaosKnob {
+    Rate(Site),
+    MaxDelayMs,
+    StallMs,
+    WakeupMs,
 }
 
-/// Parses the serve-level chaos flags into a [`ServeChaos`] plan. The
-/// seed is shared with the runner plan (`--chaos-seed`), which
-/// [`runner_config`] consumes later, so the caller peeks it and passes
-/// it in. `None` when no serve-level rate is set — a seed alone keeps
-/// the service layer quiet.
-fn serve_chaos(args: &mut Vec<String>, seed: Option<u64>) -> Result<Option<ServeChaos>, String> {
-    let accept = take_value(args, "--chaos-accept")?;
-    let read = take_value(args, "--chaos-read")?;
-    let write = take_value(args, "--chaos-write")?;
-    let stall = take_value(args, "--chaos-stall")?;
-    let stall_ms = take_value(args, "--chaos-stall-ms")?;
-    let disk = take_value(args, "--chaos-disk")?;
-    let wakeup_ms = take_value(args, "--chaos-wakeup-ms")?;
-    let any = [&accept, &read, &write, &stall, &stall_ms, &disk, &wakeup_ms]
-        .iter()
-        .any(|v| v.is_some());
-    if !any {
-        return Ok(None);
+/// Every `--chaos-*` flag but `--chaos-seed`: its name, whether only
+/// `fires serve` takes it, and what it sets.
+const CHAOS_FLAGS: [(&str, bool, ChaosKnob); 11] = [
+    ("--chaos-panic", false, ChaosKnob::Rate(Site::UnitPanic)),
+    ("--chaos-journal", false, ChaosKnob::Rate(Site::JournalIo)),
+    ("--chaos-delay", false, ChaosKnob::Rate(Site::UnitDelay)),
+    ("--chaos-delay-ms", false, ChaosKnob::MaxDelayMs),
+    ("--chaos-accept", true, ChaosKnob::Rate(Site::Accept)),
+    ("--chaos-read", true, ChaosKnob::Rate(Site::Read)),
+    ("--chaos-write", true, ChaosKnob::Rate(Site::Write)),
+    ("--chaos-stall", true, ChaosKnob::Rate(Site::Stall)),
+    ("--chaos-stall-ms", true, ChaosKnob::StallMs),
+    ("--chaos-disk", true, ChaosKnob::Rate(Site::Disk)),
+    ("--chaos-wakeup-ms", true, ChaosKnob::WakeupMs),
+];
+
+/// Parses the chaos flags into one plan; `None` without `--chaos-seed`.
+/// The service-site flags are taken only when `serve` is set.
+fn chaos_plan(args: &mut Vec<String>, serve: bool) -> Result<Option<ChaosPlan>, String> {
+    let seed = take_value(args, "--chaos-seed")?;
+    let mut given = Vec::new();
+    for (flag, serve_only, knob) in CHAOS_FLAGS {
+        if serve || !serve_only {
+            if let Some(value) = take_value(args, flag)? {
+                given.push((flag, knob, value));
+            }
+        }
     }
     let Some(seed) = seed else {
-        return Err("serve chaos rates need --chaos-seed".into());
+        return match given.first() {
+            Some((flag, ..)) => Err(format!("{flag} needs --chaos-seed")),
+            None => Ok(None),
+        };
     };
-    let mut plan = ServeChaos::new(seed);
-    if let Some(p) = accept {
-        plan = plan.with_accept_faults(parse_number(&p, "--chaos-accept")?);
-    }
-    if let Some(p) = read {
-        plan = plan.with_read_faults(parse_number(&p, "--chaos-read")?);
-    }
-    if let Some(p) = write {
-        plan = plan.with_write_faults(parse_number(&p, "--chaos-write")?);
-    }
-    let stall_rate = match stall {
-        Some(p) => parse_number(&p, "--chaos-stall")?,
-        None => 0,
-    };
-    let stall_bound = match stall_ms {
-        Some(ms) => parse_number(&ms, "--chaos-stall-ms")?,
-        None => 20,
-    };
-    if stall_rate > 0 {
-        plan = plan.with_stalls(stall_rate, stall_bound);
-    }
-    if let Some(p) = disk {
-        plan = plan.with_disk_faults(parse_number(&p, "--chaos-disk")?);
-    }
-    if let Some(ms) = wakeup_ms {
-        plan = plan.with_wakeup_delay(parse_number(&ms, "--chaos-wakeup-ms")?);
+    let mut plan = ChaosPlan::new(parse_number(&seed, "--chaos-seed")?);
+    // The defaults of --chaos-delay-ms and --chaos-stall-ms.
+    plan.max_delay_ms = 2;
+    plan.stall_ms = 20;
+    for (flag, knob, value) in given {
+        let value = parse_number(&value, flag)?;
+        match knob {
+            ChaosKnob::Rate(site) => plan = plan.with_rate(site, value),
+            ChaosKnob::MaxDelayMs => plan.max_delay_ms = value,
+            ChaosKnob::StallMs => plan.stall_ms = value,
+            ChaosKnob::WakeupMs => plan.wakeup_ms = value,
+        }
     }
     Ok(Some(plan))
 }
@@ -378,7 +355,7 @@ fn finish(journal: &Path, json: bool) -> Result<(), String> {
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let rc = runner_config(&mut args)?;
+    let rc = runner_config(&mut args, false)?;
     let json = take_flag(&mut args, "--json");
     let suite = take_value(&mut args, "--suite")?;
     let out = take_value(&mut args, "--out")?.unwrap_or_else(|| "fires-out".into());
@@ -440,7 +417,7 @@ fn journal_arg(args: &mut Vec<String>) -> Result<PathBuf, String> {
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let rc = runner_config(&mut args)?;
+    let rc = runner_config(&mut args, false)?;
     let json = take_flag(&mut args, "--json");
     let journal = journal_arg(&mut args)?;
     reject_leftovers(&args)?;
@@ -1018,19 +995,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// or SIGTERM (which starts a graceful drain).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    // The service-layer chaos plan shares --chaos-seed with the runner
-    // plan, and runner_config() consumes that flag — so peek the seed
-    // first, then pull the serve-only rates out before the runner
-    // flags are parsed.
-    let chaos_seed = match args.iter().position(|a| a == "--chaos-seed") {
-        Some(i) => Some(parse_number::<u64>(
-            args.get(i + 1).ok_or("--chaos-seed needs a value")?,
-            "--chaos-seed",
-        )?),
-        None => None,
-    };
-    let chaos = serve_chaos(&mut args, chaos_seed)?;
-    let rc = runner_config(&mut args)?;
+    let rc = runner_config(&mut args, true)?;
     let socket = take_value(&mut args, "--socket")?.ok_or("serve needs --socket PATH")?;
     let state_dir = take_value(&mut args, "--state-dir")?.ok_or("serve needs --state-dir DIR")?;
     let mut cfg = ServeConfig::new(socket, state_dir);
@@ -1040,7 +1005,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         progress_interval: Some(Duration::from_millis(500)),
         ..rc
     };
-    cfg.chaos = chaos;
     if let Some(secs) = take_value(&mut args, "--drain-timeout-secs")? {
         cfg.drain_timeout = Duration::from_secs(parse_number(&secs, "--drain-timeout-secs")?);
     }
@@ -1391,6 +1355,38 @@ gone (1): counter.gone.counter
             rendered.contains("REGRESSED (2): counter.alpha, counter.zeta"),
             "{rendered}"
         );
+    }
+
+    /// Every `--chaos-*` flag lands in one plan with the CLI's duration
+    /// defaults; `run`/`resume` leave the service-site flags behind.
+    #[test]
+    fn chaos_flags_parse_into_one_plan() {
+        let strings = |items: &[&str]| items.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let given = [
+            "--chaos-seed",
+            "7",
+            "--chaos-delay",
+            "5",
+            "--chaos-accept",
+            "3",
+            "x",
+        ];
+
+        let mut args = strings(&given);
+        let plan = chaos_plan(&mut args, false).unwrap().unwrap();
+        assert_eq!(args, strings(&["--chaos-accept", "3", "x"]));
+        let mut want = ChaosPlan::new(7).with_delays(5, 2);
+        want.stall_ms = 20;
+        assert_eq!(plan, want);
+
+        let mut args = strings(&given);
+        let plan = chaos_plan(&mut args, true).unwrap().unwrap();
+        assert_eq!(args, strings(&["x"]));
+        assert_eq!(plan, want.with_rate(Site::Accept, 3));
+
+        assert_eq!(chaos_plan(&mut strings(&["x"]), true), Ok(None));
+        let unseeded = chaos_plan(&mut strings(&["--chaos-wakeup-ms", "1"]), true);
+        assert!(unseeded.unwrap_err().contains("--chaos-seed"));
     }
 
     /// The hotspot table ranks rules by step count and reports coverage.

@@ -35,7 +35,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod chaos;
 pub mod client;
 pub mod flight;
 pub mod proto;
@@ -45,7 +44,6 @@ pub mod subscribers;
 pub mod trace;
 
 pub use cache::ResultCache;
-pub use chaos::ServeChaos;
 pub use client::Connection;
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_SCHEMA};
 pub use proto::{Request, Response, SubmitRequest};

@@ -46,10 +46,11 @@
 //!   journals, subscribers are flushed a final frame, and the process
 //!   exits within `drain_timeout` (`serve.drained`,
 //!   `serve.drain_timeouts`);
-//! * a deterministic [`ServeChaos`] plan (`--chaos-*` flags) injects
-//!   accept/read/write socket faults, client stalls, disk faults and
-//!   delayed worker wakeups so all of the above is exercised by tests
-//!   rather than trusted;
+//! * the runner's deterministic
+//!   [`ChaosPlan`](fires_jobs::ChaosPlan) (`--chaos-*` flags) also
+//!   injects accept/read/write socket faults, client stalls, disk
+//!   faults and delayed worker wakeups, so all of the above is
+//!   exercised by tests rather than trusted;
 //! * a watchdog journals a heartbeat to `<state_dir>/heartbeat.json`
 //!   and the `health`/`ready` verbs report liveness, staleness and
 //!   drain state.
@@ -68,19 +69,18 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use fires_core::ContentHasher;
 use fires_jobs::{
     journal, report_with_tasks, resume, run_with_tasks, CampaignSpec, JournalSummary, ResolvedTask,
-    RunnerConfig, UnitObserver,
+    RunnerConfig, Site, UnitObserver,
 };
 use fires_obs::{names, render_prometheus, FieldValue, Json, RunReport, SeriesRegistry};
 
 use crate::cache::ResultCache;
-use crate::chaos::{self, ChaosCounters, ServeChaos};
 use crate::flight::FlightRecorder;
 use crate::proto::{Request, Response, SubmitRequest};
 use crate::signal;
@@ -141,8 +141,6 @@ pub struct ServeConfig {
     /// if a worker has not checkpointed (its journal is still
     /// torn-tail-safe; the restart resumes it).
     pub drain_timeout: Duration,
-    /// Deterministic service-layer fault plan; `None` in production.
-    pub chaos: Option<ServeChaos>,
     /// Capacity of each subscriber's bounded progress queue.
     pub subscriber_queue: usize,
     /// Per-frame write deadline for subscribers; a client that cannot
@@ -175,7 +173,6 @@ impl ServeConfig {
             tenant_steps: Vec::new(),
             build_delay: None,
             drain_timeout: Duration::from_secs(30),
-            chaos: None,
             subscriber_queue: 8,
             write_timeout: Duration::from_secs(10),
             heartbeat_interval: Duration::from_secs(2),
@@ -227,6 +224,29 @@ struct State {
     active: HashMap<String, usize>,
 }
 
+/// One monotonic event counter per service injection site. `next()`
+/// hands out the event index that keys the corresponding
+/// [`ChaosPlan`](fires_jobs::ChaosPlan) decision, so decision `n` at a
+/// site is a pure function of `(seed, site, n)`.
+#[derive(Debug, Default)]
+struct ChaosCounters {
+    /// Accept events seen.
+    accepts: AtomicU64,
+    /// Request-read events seen.
+    reads: AtomicU64,
+    /// Response-write events seen.
+    writes: AtomicU64,
+    /// Connection-stall decision points seen.
+    stalls: AtomicU64,
+    /// Disk-write events seen (cache inserts + heartbeats).
+    disks: AtomicU64,
+}
+
+/// Claims the next event index from a site counter.
+fn next(counter: &AtomicU64) -> u64 {
+    counter.fetch_add(1, Ordering::Relaxed)
+}
+
 struct Inner {
     cfg: ServeConfig,
     state: Mutex<State>,
@@ -247,7 +267,7 @@ struct Inner {
     runner_stop: &'static AtomicBool,
     /// Workers still inside [`Inner::worker`].
     live_workers: AtomicUsize,
-    /// Per-site event counters keying [`ServeChaos`] decisions.
+    /// Per-site event counters keying service-site chaos decisions.
     counters: ChaosCounters,
     started: Instant,
     /// Last watchdog beat, for staleness reporting.
@@ -391,8 +411,9 @@ impl Inner {
     /// durable write outside the journal (cache inserts, heartbeats).
     fn disk_fault(&self) -> bool {
         self.cfg
+            .runner
             .chaos
-            .is_some_and(|c| c.disk_fails(chaos::next(&self.counters.disks)))
+            .is_some_and(|c| c.hits(Site::Disk, next(&self.counters.disks), 0, 0))
     }
 
     /// Inserts into the memory tier, absorbing injected ENOSPC and
@@ -414,8 +435,8 @@ impl Inner {
     /// injected fault reports the client as gone — the degraded path a
     /// real `EPIPE` would take.
     fn send(&self, out: &mut UnixStream, response: &Response) -> std::io::Result<()> {
-        if let Some(c) = self.cfg.chaos {
-            if c.write_fails(chaos::next(&self.counters.writes)) {
+        if let Some(c) = self.cfg.runner.chaos {
+            if c.hits(Site::Write, next(&self.counters.writes), 0, 0) {
                 self.lock().metrics.incr(names::DEGRADED_WRITE_FAULTS, 1);
                 self.flight_absorbed("write-fault", "");
                 return Err(std::io::Error::new(
@@ -656,7 +677,7 @@ impl Inner {
                 d
             });
 
-            if let Some(delay) = self.cfg.chaos.and_then(|c| c.wakeup_delay()) {
+            if let Some(delay) = self.cfg.runner.chaos.and_then(|c| c.wakeup_delay()) {
                 // Injected late wakeup: widens the window in which a
                 // drain or kill catches this job mid-flight.
                 std::thread::sleep(delay);
@@ -1007,15 +1028,15 @@ impl Inner {
     /// lines.
     fn handle(self: &Arc<Self>, stream: UnixStream) {
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        if let Some(c) = self.cfg.chaos {
-            if let Some(stall) = c.stall(chaos::next(&self.counters.stalls)) {
+        if let Some(c) = self.cfg.runner.chaos {
+            if let Some(stall) = c.stall(next(&self.counters.stalls)) {
                 // An artificially slow client: the handler thread wears
                 // the stall, the accept loop and workers never notice.
                 self.lock().metrics.incr(names::DEGRADED_STALLS, 1);
                 self.flight_absorbed("stall", "");
                 std::thread::sleep(stall);
             }
-            if c.read_fails(chaos::next(&self.counters.reads)) {
+            if c.hits(Site::Read, next(&self.counters.reads), 0, 0) {
                 self.lock().metrics.incr(names::DEGRADED_READ_FAULTS, 1);
                 self.flight_absorbed("read-fault", "");
                 return; // as if the socket died before the request
@@ -1416,8 +1437,8 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                if let Some(c) = inner.cfg.chaos {
-                    if c.accept_fails(chaos::next(&inner.counters.accepts)) {
+                if let Some(c) = inner.cfg.runner.chaos {
+                    if c.hits(Site::Accept, next(&inner.counters.accepts), 0, 0) {
                         // Drop the accepted connection on the floor:
                         // the client sees EOF and retries; the loop
                         // keeps accepting.
@@ -1459,4 +1480,17 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     );
     let _ = std::fs::remove_file(&inner.cfg.socket);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counters_hand_out_monotonic_indices() {
+        let counters = ChaosCounters::default();
+        assert_eq!(next(&counters.accepts), 0);
+        assert_eq!(next(&counters.accepts), 1);
+        assert_eq!(next(&counters.disks), 0);
+    }
 }

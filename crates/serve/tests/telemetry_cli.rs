@@ -1,12 +1,12 @@
 //! End-to-end tests of the telemetry CLI surface: `fires watch` against
-//! a journal that was killed mid-append and resumed, and the `fires
-//! compare` perf gate's exit codes. Both drive the real binary
-//! (`CARGO_BIN_EXE_fires`), not library shims, so flag parsing and exit
-//! codes are covered too.
+//! a journal that was killed mid-append and resumed, the `fires
+//! compare` perf gate's exit codes, and the rejection of misused chaos
+//! flags. All drive the real binary (`CARGO_BIN_EXE_fires`), not
+//! library shims, so flag parsing and exit codes are covered too.
 
 use std::path::PathBuf;
-use std::process::Command;
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use fires_jobs::{journal, resume, run, CampaignSpec, JournalSummary, RunnerConfig};
 use fires_obs::RunReport;
@@ -241,4 +241,79 @@ fn compare_cli_gates_on_a_doctored_regression() {
         .status()
         .unwrap();
     assert!(status.success(), "75% threshold must tolerate +50%");
+}
+
+/// Runs `fires` to completion and returns its stderr, asserting it
+/// failed. Kills it (and fails the test) if it is still running after
+/// 30 s — a misparsed `serve` would never exit.
+fn rejection(args: &[&str]) -> String {
+    let mut child = fires()
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("fires {args:?} did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(!out.status.success(), "fires {args:?} must fail");
+    String::from_utf8(out.stderr).unwrap()
+}
+
+#[test]
+fn misused_chaos_flags_are_rejected() {
+    let dir = temp_dir("chaos-flags");
+    let out = dir.join("out");
+    let out = out.to_str().unwrap();
+    let socket = dir.join("s.sock");
+    let socket = socket.to_str().unwrap();
+    let state = dir.join("state");
+    let state = state.to_str().unwrap();
+
+    // A service-only flag on `run`.
+    let err = rejection(&[
+        "run",
+        "--suite",
+        "small",
+        "--out",
+        out,
+        "--chaos-seed",
+        "1",
+        "--chaos-accept",
+        "5",
+    ]);
+    assert!(err.contains("--chaos-accept"), "{err}");
+
+    // Chaos rates without a seed, on `serve` and on `run`.
+    let err = rejection(&[
+        "serve",
+        "--socket",
+        socket,
+        "--state-dir",
+        state,
+        "--chaos-disk",
+        "5",
+    ]);
+    assert!(err.contains("--chaos-seed"), "{err}");
+    let err = rejection(&[
+        "run",
+        "--suite",
+        "small",
+        "--out",
+        out,
+        "--chaos-panic",
+        "5",
+    ]);
+    assert!(err.contains("--chaos-seed"), "{err}");
+
+    // Nothing ran: every rejection happened while parsing.
+    assert!(!std::path::Path::new(out).exists());
+    assert!(!std::path::Path::new(socket).exists());
 }
