@@ -21,8 +21,7 @@
 use std::time::Duration;
 
 use fires_atpg::AtpgConfig;
-use fires_circuits::suite::SuiteEntry;
-use fires_core::{Fires, FiresConfig, FiresReport, IdentifiedFault, RunMetrics};
+use fires_core::{Fires, FiresConfig, FiresReport, IdentifiedFault};
 use fires_jobs::{CampaignReport, CampaignSpec, RunnerConfig};
 use fires_netlist::{Circuit, Fault};
 
@@ -32,15 +31,10 @@ pub use reporting::{
     json_row, record_campaign, record_fault_sim, JsonOut, ProfileOut, Threads, TraceOut,
 };
 
-/// Runs FIRES with the bench-standard thread plumbing: 1 worker uses the
-/// serial driver, anything more the in-process worker pool. Results are
-/// identical either way; only wall-clock changes.
+/// Runs FIRES on `threads` workers. Results are the same for every
+/// thread count; only wall-clock changes.
 pub fn run_fires(circuit: &Circuit, config: FiresConfig, threads: usize) -> FiresReport<'_> {
-    if threads <= 1 {
-        Fires::new(circuit, config).run()
-    } else {
-        Fires::new(circuit, config).run_threaded(threads)
-    }
+    Fires::new(circuit, config).run_threaded(threads)
 }
 
 /// Bounded-effort knobs the table binaries forward to their campaigns
@@ -266,54 +260,6 @@ pub fn hitec_like() -> AtpgConfig {
     }
 }
 
-/// One Table-2 row: the outcome of FIRES on a suite circuit, with and
-/// without validation.
-#[derive(Clone, Debug)]
-pub struct Table2Row {
-    /// Circuit name.
-    pub name: &'static str,
-    /// Frame budget used.
-    pub frames: usize,
-    /// Untestable faults found without validation.
-    pub untestable: usize,
-    /// CPU seconds without validation.
-    pub cpu_unvalidated: f64,
-    /// Redundant faults found with validation.
-    pub redundant: usize,
-    /// CPU seconds with validation.
-    pub cpu_validated: f64,
-    /// Redundant faults with `c = 0`.
-    pub zero_cycle: usize,
-    /// Largest `c` over the redundant faults.
-    pub max_c: u32,
-    /// Engine metrics merged over both runs (empty when `fires-core` is
-    /// built without its `tracing` feature).
-    pub metrics: RunMetrics,
-}
-
-/// Runs both FIRES modes on one suite circuit, using every available
-/// core (stems are independent; the threaded runner is result-identical
-/// to the serial one).
-pub fn table2_row(entry: &SuiteEntry) -> Table2Row {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let base = FiresConfig::with_max_frames(entry.frames);
-    let unvalidated = Fires::new(&entry.circuit, base.without_validation()).run_threaded(threads);
-    let validated = Fires::new(&entry.circuit, base).run_threaded(threads);
-    let mut metrics = unvalidated.metrics().clone();
-    metrics.merge(validated.metrics());
-    Table2Row {
-        name: entry.name,
-        frames: entry.frames,
-        untestable: unvalidated.len(),
-        cpu_unvalidated: unvalidated.elapsed().as_secs_f64(),
-        redundant: validated.len(),
-        cpu_validated: validated.elapsed().as_secs_f64(),
-        zero_cycle: validated.num_zero_cycle(),
-        max_c: validated.max_c(),
-        metrics,
-    }
-}
-
 /// The fault targets a FIRES run hands to the comparison ATPG: the faults
 /// identified without validation, exactly as in the paper's Tables 3–4
 /// ("the faults found by FIRES (without validation) were passed as the
@@ -353,15 +299,5 @@ mod tests {
     fn presets_scale_sensibly() {
         assert!(gentest_like().time_limit > hitec_like().time_limit);
         assert!(gentest_like().backtrack_limit > hitec_like().backtrack_limit);
-    }
-
-    #[test]
-    fn table2_row_runs_on_a_small_entry() {
-        let entry = fires_circuits::suite::by_name("s208_like").unwrap();
-        let row = table2_row(&entry);
-        assert_eq!(row.name, "s208_like");
-        assert!(row.untestable >= row.redundant);
-        assert!(row.redundant > 0);
-        assert!(row.max_c >= 1);
     }
 }

@@ -173,7 +173,7 @@ impl TraceOut {
 ///
 /// `--threads N` (or `--threads=N`) runs FIRES on the in-process worker
 /// pool with `N` workers; `--threads auto` uses every available core.
-/// The default is 1 — the serial driver — so timings stay comparable
+/// The default is 1 — the calling thread alone — so timings stay comparable
 /// with older runs unless parallelism is asked for. Results are
 /// identical either way (see
 /// [`IdentifiedFault::wins_over`](fires_core::IdentifiedFault)).
@@ -200,7 +200,7 @@ impl Threads {
         Threads { count }
     }
 
-    /// The requested worker count (1 = serial driver).
+    /// The requested worker count (1 = the calling thread alone).
     pub fn count(&self) -> usize {
         self.count
     }

@@ -3,9 +3,10 @@
 //! CI runs this example with and without `--no-default-features` and
 //! diffs the output byte-for-byte: the identified faults must never
 //! depend on whether instrumentation (and with it the hotspot profiler)
-//! is compiled in.
+//! is compiled in. It also asserts that a four-thread run prints the same
+//! lines as a single-thread one.
 
-use fires_core::{Fires, FiresConfig};
+use fires_core::{Fires, FiresConfig, FiresReport};
 use fires_netlist::bench;
 
 const NETLIST: &str = "\
@@ -26,14 +27,25 @@ w = OR(q, z)\n\
 x = XOR(b, n)\n\
 ";
 
+/// The lines this example prints for one report.
+fn canonical_lines(report: &FiresReport<'_>) -> Vec<String> {
+    let mut lines = vec![
+        format!("stems_processed {}", report.stems_processed()),
+        format!("marks_created {}", report.marks_created()),
+        format!("max_frames_used {}", report.max_frames_used()),
+    ];
+    lines.extend(report.display_faults());
+    lines
+}
+
 fn main() {
     let circuit = bench::parse(NETLIST).expect("embedded netlist parses");
     let fires = Fires::new(&circuit, FiresConfig::with_max_frames(5));
-    let report = fires.run();
-    println!("stems_processed {}", report.stems_processed());
-    println!("marks_created {}", report.marks_created());
-    println!("max_frames_used {}", report.max_frames_used());
-    for fault in report.display_faults() {
-        println!("{fault}");
+    let lines = canonical_lines(&fires.run());
+    // The worker pool must print the same, so the traced/untraced diff
+    // covers the threaded driver as well.
+    assert_eq!(canonical_lines(&fires.run_threaded(4)), lines);
+    for line in lines {
+        println!("{line}");
     }
 }

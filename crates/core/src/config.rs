@@ -1,7 +1,5 @@
 //! Configuration of the FIRES analysis.
 
-use fires_netlist::LineId;
-
 /// How strictly Definition 6 is applied when checking that an implication
 /// chain survives in the faulty circuit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,11 +20,6 @@ pub enum ValidationPolicy {
 /// The defaults mirror the paper's experimental setup: up to 15 time
 /// frames, validation enabled, fanout stems only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// Equality on `progress` is hook *identity*. Merged or duplicated codegen
-// can make distinct fns compare equal (or one fn unequal to itself), which
-// is acceptable: configs are compared to detect parameter changes, never
-// to dispatch on the hook.
-#[allow(unpredictable_function_pointer_comparisons)]
 pub struct FiresConfig {
     /// Maximum number of time frames a single implication process may span
     /// (`T_M` in the paper, forward + backward + 1). The paper uses at most
@@ -47,27 +40,6 @@ pub struct FiresConfig {
     /// indicator spreading through every frame). Exceeding it stops that
     /// process early — still sound, some indicators are simply missing.
     pub mark_budget: usize,
-    /// Optional progress callback, invoked once per completed stem. A
-    /// plain `fn` pointer (not a closure) so the config stays `Copy`;
-    /// [`Fires::run_threaded`](crate::Fires::run_threaded) calls it from
-    /// worker threads, so it must be thread-safe. Long-running embedders
-    /// (and the bench binaries) use it to drive progress displays.
-    pub progress: Option<fn(ProgressEvent)>,
-}
-
-/// Snapshot passed to [`FiresConfig::progress`] after each stem.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProgressEvent {
-    /// Stems completed so far, including this one.
-    pub stems_done: usize,
-    /// Total fanout stems in the run.
-    pub stems_total: usize,
-    /// The stem just completed.
-    pub stem: LineId,
-    /// Faults this stem's conflict identified (before global dedup).
-    pub faults_found: usize,
-    /// Uncontrollability marks its two processes derived.
-    pub marks: usize,
 }
 
 impl Default for FiresConfig {
@@ -78,7 +50,6 @@ impl Default for FiresConfig {
             validation_policy: ValidationPolicy::AnyFrame,
             blame_cap: 64,
             mark_budget: 50_000,
-            progress: None,
         }
     }
 }
@@ -96,12 +67,6 @@ impl FiresConfig {
     /// validation" mode, reporting untestable faults).
     pub fn without_validation(mut self) -> Self {
         self.validate = false;
-        self
-    }
-
-    /// Installs a per-stem progress callback.
-    pub fn with_progress(mut self, hook: fn(ProgressEvent)) -> Self {
-        self.progress = Some(hook);
         self
     }
 
@@ -155,14 +120,5 @@ mod tests {
             ..FiresConfig::default()
         };
         assert!(c.check().is_err());
-    }
-
-    #[test]
-    fn progress_hook_preserves_copy_and_eq() {
-        fn hook(_: ProgressEvent) {}
-        let a = FiresConfig::default().with_progress(hook);
-        let b = a; // still Copy
-        assert_eq!(a, b);
-        assert_ne!(a, FiresConfig::default());
     }
 }

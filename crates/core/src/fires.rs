@@ -1,33 +1,22 @@
 //! The FIRES driver (paper Section 5.3, Figure 6).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fires_netlist::{Circuit, Fault, GateKind, LineGraph, LineId, StuckValue};
 
 use crate::cancel::CancelToken;
-use crate::config::ProgressEvent;
 use crate::engine::{DistCache, EngineScratch, Implications, IndicatorView, MarkId, Unc};
 use crate::error::CoreError;
 use crate::guard::{Budget, BudgetMeter, ExhaustionReason};
 use crate::instrument::{core_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
-use crate::report::{merge_candidate, FiresReport, IdentifiedFault, ProcessTrace};
+use crate::report::{fold_identified, FiresReport, IdentifiedFault, ProcessTrace};
 use crate::window::Frame;
 use crate::{FiresConfig, ValidationPolicy};
 
 /// How many validation-loop entries pass between cancellation polls in
 /// [`Fires::run_stem`]'s fault-set assembly.
 const VALIDATION_POLL_STRIDE: u32 = 256;
-
-/// What `process_stem` hands back for one stem.
-struct ProcessedStem {
-    found: usize,
-    marks: usize,
-    frames: usize,
-    exhausted: Option<ExhaustionReason>,
-    /// Per-rule hotspot attribution for this stem (empty without the
-    /// `tracing` feature).
-    profile: RuleProfile,
-}
 
 /// Phase names used by the driver's [`PhaseClock`]; the same strings
 /// appear in `FiresReport::phase_times` and in JSON run reports.
@@ -173,19 +162,6 @@ pub struct StemFindings {
     /// and distance-cache hit counts depend on timing and cache sharing.
     /// Always empty without the `tracing` feature.
     pub profile: RuleProfile,
-}
-
-/// Per-stem statistics from a detailed run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StemStats {
-    /// The processed stem.
-    pub stem: LineId,
-    /// Faults this stem's conflict identified (before global dedup).
-    pub faults_found: usize,
-    /// Uncontrollability marks derived by the two processes.
-    pub marks: usize,
-    /// Frames spanned by the wider of the two processes.
-    pub frames_used: usize,
 }
 
 /// What [`Fires::run_stem`] produced for one stem: either complete
@@ -353,32 +329,8 @@ impl<'c> Fires<'c> {
         if !is_fanout_stem {
             return Err(CoreError::NotAFanoutStem { line: stem });
         }
-        let mut clock = PhaseClock::start();
-        let mut metrics = RunMetrics::new();
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
-        let processed =
-            self.process_stem(stem, ctx, &mut best, &mut metrics, &mut clock, cancel)?;
-        let ProcessedStem {
-            found,
-            marks,
-            frames,
-            exhausted,
-            profile,
-        } = processed;
-        let mut faults: Vec<IdentifiedFault> = best.into_values().collect();
-        faults.sort_by_key(|f| (f.fault.line, f.fault.stuck));
-        let findings = StemFindings {
-            stem,
-            faults,
-            faults_found: found,
-            marks,
-            frames_used: frames,
-            metrics,
-            phase_times: clock.finish(),
-            exhausted,
-            profile,
-        };
-        Ok(match exhausted {
+        let findings = self.process_stem(stem, ctx, cancel)?;
+        Ok(match findings.exhausted {
             None => StemOutcome::Complete(findings),
             Some(reason) => StemOutcome::Exhausted {
                 partial: findings,
@@ -389,38 +341,38 @@ impl<'c> Fires<'c> {
 
     /// Merges per-stem findings (from [`run_stem`](Self::run_stem), in any
     /// order and from any mix of fresh and replayed work) into a full
-    /// [`FiresReport`]. The merge uses [`IdentifiedFault::wins_over`], so
-    /// the identified-fault list is byte-identical however the findings
-    /// were partitioned — the property `fires-jobs` builds on.
+    /// [`FiresReport`]. The faults go through [`fold_identified`], so the
+    /// identified-fault list is byte-identical however the findings were
+    /// partitioned — the property `fires-jobs` builds on.
     ///
     /// Findings flagged [`exhausted`](StemFindings::exhausted) contribute
     /// their statistics (marks, frames, metrics) but **never** their
     /// faults: a budget-cut stem's fault sets are non-final and must not
     /// back the report's redundancy claims.
     pub fn assemble_report(&self, findings: Vec<StemFindings>) -> FiresReport<'c> {
-        let mut clock = PhaseClock::start();
+        self.assemble(&findings, PhaseClock::start())
+    }
+
+    /// [`assemble_report`](Self::assemble_report) under a clock the
+    /// caller started, so a whole run's `elapsed()` covers its stems.
+    fn assemble(&self, findings: &[StemFindings], mut clock: PhaseClock) -> FiresReport<'c> {
+        let identified = fold_identified(
+            findings
+                .iter()
+                .filter(|f| f.exhausted.is_none())
+                .flat_map(|f| f.faults.iter().copied()),
+        );
         let mut metrics = RunMetrics::new();
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
-        let mut marks_total = 0usize;
         let mut max_frames = 1usize;
-        let stems_processed = findings.len();
         for f in findings {
-            marks_total += f.marks;
             max_frames = max_frames.max(f.frames_used);
+            // Already holds `core.exhausted_stems` for a budget-cut stem,
+            // so it is not counted again here.
             metrics.merge(&f.metrics);
             for (name, d) in &f.phase_times.phases {
                 clock.add(name, *d);
             }
-            if f.exhausted.is_some() {
-                metrics.incr("core.exhausted_stems", 1);
-                continue; // partial fault sets never enter the claims
-            }
-            for cand in f.faults {
-                merge_candidate(&mut best, cand);
-            }
         }
-        let mut identified: Vec<IdentifiedFault> = best.into_values().collect();
-        identified.sort_by_key(|f| (f.fault.line, f.fault.stuck));
         metrics.incr("core.identified_faults", identified.len() as u64);
         metrics.set_max("core.max_frames_used", max_frames as u64);
         FiresReport {
@@ -428,183 +380,61 @@ impl<'c> Fires<'c> {
             lines: self.lines.clone(),
             identified,
             validated: self.config.validate,
-            stems_processed,
-            marks_created: marks_total,
+            stems_processed: findings.len(),
+            marks_created: findings.iter().map(|f| f.marks).sum(),
             max_frames_used: max_frames,
             metrics,
             phase_times: clock.finish(),
         }
     }
 
-    /// Runs the algorithm over every fanout stem.
+    /// Runs the algorithm over every fanout stem on the calling thread;
+    /// the same as [`run_threaded(1)`](Self::run_threaded).
     pub fn run(&self) -> FiresReport<'c> {
-        self.run_detailed().0
+        self.run_threaded(1)
     }
 
-    /// Runs the algorithm, additionally returning per-stem statistics.
-    pub fn run_detailed(&self) -> (FiresReport<'c>, Vec<StemStats>) {
-        let mut clock = PhaseClock::start();
-        let mut metrics = RunMetrics::new();
-        let mut ctx = StemCtx::new();
-        let never = CancelToken::never();
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
-        let mut outcomes = Vec::new();
-        let mut marks_total = 0usize;
-        let mut max_frames = 1usize;
-        let stems: Vec<LineId> = self.stems();
-        for (done, &stem) in stems.iter().enumerate() {
-            let ProcessedStem {
-                found,
-                marks,
-                frames,
-                ..
-            } = self
-                .process_stem(stem, &mut ctx, &mut best, &mut metrics, &mut clock, &never)
-                .unwrap_or_else(|_| unreachable!("never-cancelled run cannot be interrupted"));
-            marks_total += marks;
-            max_frames = max_frames.max(frames);
-            outcomes.push(StemStats {
-                stem,
-                faults_found: found,
-                marks,
-                frames_used: frames,
-            });
-            if let Some(hook) = self.config.progress {
-                hook(ProgressEvent {
-                    stems_done: done + 1,
-                    stems_total: stems.len(),
-                    stem,
-                    faults_found: found,
-                    marks,
-                });
-            }
-        }
-        let mut identified: Vec<IdentifiedFault> = best.into_values().collect();
-        identified.sort_by_key(|f| (f.fault.line, f.fault.stuck));
-        metrics.incr("core.identified_faults", identified.len() as u64);
-        metrics.set_max("core.max_frames_used", max_frames as u64);
-        let report = FiresReport {
-            circuit: self.circuit,
-            lines: self.lines.clone(),
-            identified,
-            validated: self.config.validate,
-            stems_processed: stems.len(),
-            marks_created: marks_total,
-            max_frames_used: max_frames,
-            metrics,
-            phase_times: clock.finish(),
-        };
-        (report, outcomes)
-    }
-
-    /// Runs the algorithm with `threads` worker threads. Stems are
-    /// independent, so the work partitions cleanly; the report is
-    /// identical to [`run`](Self::run) (deterministic merge), typically at
-    /// a near-linear speedup on large circuits.
+    /// Runs the algorithm over every fanout stem with `threads` workers,
+    /// the calling thread being one of them. Workers pull stems off a
+    /// shared cursor and run each through [`run_stem`](Self::run_stem)
+    /// with their own [`StemCtx`]; the findings go through
+    /// [`assemble_report`](Self::assemble_report)'s fold, so the report
+    /// is the same for every thread count.
     ///
-    /// Observability notes: the per-phase durations in the report are
-    /// summed across workers, so with `threads > 1` they measure
-    /// aggregate compute time and may exceed the wall-clock total. The
-    /// progress hook (if any) is invoked from worker threads.
+    /// `elapsed()` is the run's wall time. With `threads > 1` the
+    /// per-phase durations are summed across workers, so they measure
+    /// aggregate compute time and may exceed it.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn run_threaded(&self, threads: usize) -> FiresReport<'c> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         assert!(threads >= 1, "need at least one worker");
         let clock = PhaseClock::start();
-        let stems: Vec<LineId> = self.lines.fanout_stems(self.circuit).collect();
-        let chunk = stems.len().div_ceil(threads).max(1);
-        let done = AtomicUsize::new(0);
-        type WorkerResult = (
-            HashMap<Fault, IdentifiedFault>,
-            usize,
-            usize,
-            RunMetrics,
-            crate::instrument::PhaseTimes,
-        );
-        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = stems
-                .chunks(chunk)
-                .map(|part| {
-                    let done = &done;
-                    let stems_total = stems.len();
-                    scope.spawn(move || {
-                        let mut worker_clock = PhaseClock::start();
-                        let mut worker_metrics = RunMetrics::new();
-                        let mut ctx = StemCtx::new();
-                        let never = CancelToken::never();
-                        let mut best = HashMap::new();
-                        let mut marks = 0usize;
-                        let mut frames = 1usize;
-                        for &stem in part {
-                            let processed = self
-                                .process_stem(
-                                    stem,
-                                    &mut ctx,
-                                    &mut best,
-                                    &mut worker_metrics,
-                                    &mut worker_clock,
-                                    &never,
-                                )
-                                .unwrap_or_else(|_| {
-                                    unreachable!("never-cancelled run cannot be interrupted")
-                                });
-                            let (found, m) = (processed.found, processed.marks);
-                            marks += m;
-                            frames = frames.max(processed.frames);
-                            if let Some(hook) = self.config.progress {
-                                hook(ProgressEvent {
-                                    stems_done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                                    stems_total,
-                                    stem,
-                                    faults_found: found,
-                                    marks: m,
-                                });
-                            }
-                        }
-                        (best, marks, frames, worker_metrics, worker_clock.finish())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect()
+        let stems = self.stems();
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut ctx = StemCtx::new();
+            let never = CancelToken::never();
+            let mut findings = Vec::new();
+            while let Some(&stem) = stems.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let outcome = self.run_stem(stem, &mut ctx, &never);
+                findings.push(outcome.map_or_else(
+                    |e| unreachable!("a fanout stem run without a cancel token failed: {e}"),
+                    StemOutcome::into_findings,
+                ));
+            }
+            findings
+        };
+        let findings = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut findings = worker();
+            for other in others {
+                findings.extend(other.join().expect("worker"));
+            }
+            findings
         });
-        let mut clock = clock;
-        let mut metrics = RunMetrics::new();
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
-        let mut marks_total = 0usize;
-        let mut max_frames = 1usize;
-        for (part, marks, frames, worker_metrics, worker_times) in results {
-            marks_total += marks;
-            max_frames = max_frames.max(frames);
-            metrics.merge(&worker_metrics);
-            for (name, d) in &worker_times.phases {
-                clock.add(name, *d);
-            }
-            for (_, cand) in part {
-                merge_candidate(&mut best, cand);
-            }
-        }
-        let mut identified: Vec<IdentifiedFault> = best.into_values().collect();
-        identified.sort_by_key(|f| (f.fault.line, f.fault.stuck));
-        metrics.incr("core.identified_faults", identified.len() as u64);
-        metrics.set_max("core.max_frames_used", max_frames as u64);
-        FiresReport {
-            circuit: self.circuit,
-            lines: self.lines.clone(),
-            identified,
-            validated: self.config.validate,
-            stems_processed: stems.len(),
-            marks_created: marks_total,
-            max_frames_used: max_frames,
-            metrics,
-            phase_times: clock.finish(),
-        }
+        self.assemble(&findings, clock)
     }
 
     /// Runs the two implication processes for one stem and returns them,
@@ -647,28 +477,19 @@ impl<'c> Fires<'c> {
         }
     }
 
-    /// Runs both implication processes for one stem and folds the
-    /// identified faults into `best` via [`merge_candidate`]. Returns
-    /// `(faults_found, marks, frames_used, exhausted, profile)`.
+    /// Runs both implication processes for one stem and returns its
+    /// findings, faults deduplicated with [`fold_identified`].
     ///
-    /// Interruption discards all partial work for the stem: `best` is only
-    /// updated on the `Ok` path, so a caller that maps
-    /// [`CoreError::Interrupted`] to "unit timed out" never sees
+    /// Interruption discards all partial work for the stem, so a caller
+    /// that maps [`CoreError::Interrupted`] to "unit timed out" never sees
     /// half-validated faults. Budget exhaustion is different: the partial
-    /// faults *are* folded into `best` (the caller keeps and flags them),
-    /// so callers that share one `best` across stems — the whole-run entry
-    /// points — must run with an unlimited budget, which they do by
-    /// constructing their own [`StemCtx`].
-    #[allow(clippy::too_many_arguments)]
+    /// faults come back, flagged by [`StemFindings::exhausted`].
     fn process_stem(
         &self,
         stem: LineId,
         ctx: &mut StemCtx,
-        best: &mut HashMap<Fault, IdentifiedFault>,
-        metrics: &mut RunMetrics,
-        clock: &mut PhaseClock,
         cancel: &CancelToken,
-    ) -> Result<ProcessedStem, CoreError> {
+    ) -> Result<StemFindings, CoreError> {
         let _span = core_span!("core.stem", stem = stem.index());
         let interrupted = || CoreError::Interrupted { stem };
         // Upfront check so a token that fired before this unit started
@@ -677,6 +498,8 @@ impl<'c> Fires<'c> {
         if cancel.is_cancelled() {
             return Err(interrupted());
         }
+        let mut clock = PhaseClock::start();
+        let mut metrics = RunMetrics::new();
         let stem_started = std::time::Instant::now();
         let cache_lookups_before = ctx.cache.lookup_stats();
         // One meter travels through all four fixpoints so the cumulative
@@ -721,11 +544,11 @@ impl<'c> Fires<'c> {
         let exhausted = p0.exhausted().or_else(|| p1.exhausted());
 
         clock.enter(phase::VALIDATION);
-        let Some(s0) = self.collect_fault_sets(&p0, &mut ctx.forced, metrics, cancel) else {
+        let Some(s0) = self.collect_fault_sets(&p0, &mut ctx.forced, &mut metrics, cancel) else {
             clock.exit();
             return Err(interrupted());
         };
-        let Some(s1) = self.collect_fault_sets(&p1, &mut ctx.forced, metrics, cancel) else {
+        let Some(s1) = self.collect_fault_sets(&p1, &mut ctx.forced, &mut metrics, cancel) else {
             clock.exit();
             return Err(interrupted());
         };
@@ -766,25 +589,19 @@ impl<'c> Fires<'c> {
         }
 
         let mut found = 0usize;
-        for (&(fault, frame), sup0) in &s0 {
-            let Some(sup1) = s1.get(&(fault, frame)) else {
-                continue;
-            };
+        // fold_identified's total order makes the result independent of
+        // this HashMap's iteration order.
+        let faults = fold_identified(s0.iter().filter_map(|(&(fault, frame), sup0)| {
+            let sup1 = s1.get(&(fault, frame))?;
             let l = sup0.min_unc_frame.min(sup1.min_unc_frame);
-            let c = if l < frame { (frame - l) as u32 } else { 0 };
             found += 1;
-            // merge_candidate's total order makes the result independent
-            // of this HashMap's iteration order.
-            merge_candidate(
-                best,
-                IdentifiedFault {
-                    fault,
-                    c,
-                    frame,
-                    stem,
-                },
-            );
-        }
+            Some(IdentifiedFault {
+                fault,
+                c: if l < frame { (frame - l) as u32 } else { 0 },
+                frame,
+                stem,
+            })
+        }));
         clock.exit();
         metrics.incr("core.faults_found", found as u64);
         let elapsed = stem_started.elapsed();
@@ -803,13 +620,17 @@ impl<'c> Fires<'c> {
             misses - cache_lookups_before.1,
         );
         profile.apportion_nanos(elapsed.as_nanos() as u64);
-        profile.export_counters(metrics);
+        profile.export_counters(&mut metrics);
         ctx.scratch.zero = p0.into_scratch();
         ctx.scratch.one = p1.into_scratch();
-        Ok(ProcessedStem {
-            found,
+        Ok(StemFindings {
+            stem,
+            faults,
+            faults_found: found,
             marks,
-            frames,
+            frames_used: frames,
+            metrics,
+            phase_times: clock.finish(),
             exhausted,
             profile,
         })
@@ -1234,29 +1055,66 @@ mod tests {
         }
     }
 
+    /// The counters that are a pure function of the work, whatever the
+    /// thread placement: the headline counts and every `core.rule.*`.
+    #[cfg(feature = "tracing")]
+    fn deterministic_counters(report: &FiresReport<'_>) -> Vec<(String, u64)> {
+        const HEADLINE: [&str; 4] = [
+            "core.stems_processed",
+            "core.marks_created",
+            "core.faults_found",
+            "core.identified_faults",
+        ];
+        report
+            .metrics()
+            .counters()
+            .filter(|(name, _)| HEADLINE.contains(name) || name.starts_with("core.rule."))
+            .map(|(name, v)| (name.to_string(), v))
+            .collect()
+    }
+
     #[test]
     fn threaded_run_matches_serial() {
-        let circuit = bench::parse(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(d)\nOUTPUT(c)\nOUTPUT(z)\n\
-             q = DFF(a)\nbq = DFF(a)\nc = DFF(a)\nd = AND(bq, c)\n\
-             n = NOT(b)\nz = AND(b, n)\nw = OR(q, z)\nOUTPUT(w)\n",
-        )
-        .unwrap();
-        let fires = Fires::new(&circuit, FiresConfig::default());
-        let serial = fires.run();
-        for threads in [1, 2, 4] {
-            let parallel = fires.run_threaded(threads);
-            assert_eq!(parallel.display_faults(), serial.display_faults());
-            assert_eq!(parallel.stems_processed(), serial.stems_processed());
+        let circuits = [("fig7", fires_circuits::figures::figure7(), 5), {
+            let e = fires_circuits::suite::by_name("s208_like").unwrap();
+            ("s208_like", e.circuit, e.frames)
+        }];
+        for (name, circuit, frames) in &circuits {
+            let fires = Fires::new(circuit, FiresConfig::with_max_frames(*frames));
+            let serial = fires.run();
+            let stems = fires.stems().len();
+            assert!(!serial.is_empty(), "{name}: test needs identified faults");
+            #[cfg(feature = "tracing")]
+            assert!(
+                deterministic_counters(&serial).len() > 4,
+                "{name}: rule counters missing"
+            );
+            for threads in [1, 2, 4, stems + 3] {
+                let parallel = fires.run_threaded(threads);
+                let at = format!("{name} with {threads} threads");
+                assert_eq!(
+                    parallel.redundant_faults(),
+                    serial.redundant_faults(),
+                    "{at}"
+                );
+                assert_eq!(parallel.stems_processed(), stems, "{at}");
+                assert_eq!(parallel.marks_created(), serial.marks_created(), "{at}");
+                assert_eq!(parallel.max_frames_used(), serial.max_frames_used(), "{at}");
+                #[cfg(feature = "tracing")]
+                assert_eq!(
+                    deterministic_counters(&parallel),
+                    deterministic_counters(&serial),
+                    "{at}"
+                );
+            }
         }
     }
 
     #[test]
     fn report_statistics_are_populated() {
         let circuit = bench::parse("INPUT(a)\nOUTPUT(z)\nn = NOT(a)\nz = AND(a, n)\n").unwrap();
-        let (report, outcomes) = Fires::new(&circuit, FiresConfig::default()).run_detailed();
+        let report = Fires::new(&circuit, FiresConfig::default()).run();
         assert_eq!(report.stems_processed(), 1); // only stem `a` fans out
-        assert_eq!(outcomes.len(), 1);
         assert!(report.marks_created() > 0);
         assert!(report.max_frames_used() >= 1);
         assert!(report.to_string().contains("FIRES"));
@@ -1554,6 +1412,14 @@ mod tests {
         // The complete findings still merge as before.
         let report = fires.assemble_report(vec![complete.clone()]);
         assert_eq!(report.len(), complete.faults.len());
+        // A stem a budget really cut is counted as exhausted once.
+        let mut ctx = StemCtx::with_budget(Budget::unlimited().with_max_steps(3));
+        let outcome = fires.run_stem(stem, &mut ctx, &never).unwrap();
+        assert!(outcome.exhaustion().is_some(), "3-step budget must exhaust");
+        let report = fires.assemble_report(vec![outcome.into_findings()]);
+        assert!(report.is_empty(), "{:?}", report.display_faults());
+        #[cfg(feature = "tracing")]
+        assert_eq!(report.metrics().counter("core.exhausted_stems"), 1);
     }
 
     #[test]
@@ -1564,31 +1430,5 @@ mod tests {
             Fires::try_new(&circuit, FiresConfig::with_max_frames(0)),
             Err(crate::CoreError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn progress_hook_fires_once_per_stem() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        static LAST_TOTAL: AtomicUsize = AtomicUsize::new(0);
-        fn hook(e: ProgressEvent) {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            LAST_TOTAL.store(e.stems_total, Ordering::Relaxed);
-            assert!(e.stems_done >= 1 && e.stems_done <= e.stems_total);
-        }
-        let circuit = bench::parse(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\nn = NOT(a)\nz = AND(a, n)\n\
-             m = NOT(b)\nw = AND(b, m)\n",
-        )
-        .unwrap();
-        let config = FiresConfig::default().with_progress(hook);
-        let fires = Fires::new(&circuit, config);
-        let serial = fires.run();
-        let serial_calls = CALLS.swap(0, Ordering::Relaxed);
-        assert_eq!(serial_calls, serial.stems_processed());
-        assert_eq!(LAST_TOTAL.load(Ordering::Relaxed), serial.stems_processed());
-        // Threaded runs call the hook from workers, same count.
-        let threaded = fires.run_threaded(2);
-        assert_eq!(CALLS.swap(0, Ordering::Relaxed), threaded.stems_processed());
     }
 }

@@ -18,9 +18,8 @@
 //!
 //! The circuit side reuses the canonical structural hash
 //! [`Circuit::content_hash`] (names, kinds, fanin wiring, output list);
-//! the configuration side covers every result-bearing knob of
-//! [`FiresConfig`] and deliberately excludes the `progress` hook, which
-//! is pure observability.
+//! the configuration side covers every knob of [`FiresConfig`], all of
+//! which bear on results.
 
 use fires_netlist::Circuit;
 
@@ -88,9 +87,8 @@ impl FiresConfig {
     /// A stable 64-bit content hash of every result-bearing knob.
     ///
     /// Covers `max_frames`, `validate`, `validation_policy`, `blame_cap`
-    /// and `mark_budget`; excludes the `progress` hook (a function
-    /// pointer with no bearing on results). Stable across processes and
-    /// releases — pinned by a golden-value test.
+    /// and `mark_budget`. Stable across processes and releases — pinned
+    /// by a golden-value test.
     pub fn content_hash(&self) -> u64 {
         let mut h = ContentHasher::new(DOMAIN_CONFIG);
         h.write_usize(self.max_frames)
@@ -180,14 +178,6 @@ mod tests {
                 "mutation {i} did not change the hash"
             );
         }
-    }
-
-    /// The `progress` hook is observability, not content.
-    #[test]
-    fn progress_hook_is_excluded() {
-        fn hook(_: crate::ProgressEvent) {}
-        let with = FiresConfig::default().with_progress(hook);
-        assert_eq!(with.content_hash(), FiresConfig::default().content_hash());
     }
 
     /// Circuit structure and configuration both feed the pair hash, and

@@ -58,7 +58,7 @@ mod report;
 mod window;
 
 pub use cancel::CancelToken;
-pub use config::{FiresConfig, ProgressEvent, ValidationPolicy};
+pub use config::{FiresConfig, ValidationPolicy};
 pub use engine::{
     DistCache, EngineScratch, EngineStats, Implications, IndicatorView, MarkId, MarkIds, MarkView,
     ProcessScratch, Unc, MARK_FOOTPRINT_BYTES, UNOBS_FOOTPRINT_BYTES,
@@ -68,10 +68,10 @@ pub use error::CoreError;
 // no-op stubs with the same API (see `instrument.rs`).
 pub use envelope::{funtest_like, EnvelopeReport};
 pub use fire::{fire, FireReport};
-pub use fires::{Fires, StemCtx, StemCtxBuilder, StemFindings, StemOutcome, StemStats};
+pub use fires::{Fires, StemCtx, StemCtxBuilder, StemFindings, StemOutcome};
 pub use guard::{Budget, ExhaustionReason};
 pub use hash::{content_hash, splitmix64, ContentHasher};
 pub use instrument::{PhaseTimes, RuleProfile, RunMetrics};
 pub use removal::{remove_fault, remove_redundancies, sweep_constants, RemovalOutcome};
-pub use report::{FiresReport, IdentifiedFault, ProcessTrace};
+pub use report::{fold_identified, FiresReport, IdentifiedFault, ProcessTrace};
 pub use window::{Frame, Window};

@@ -1,6 +1,6 @@
 //! Result types of a FIRES run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Duration;
 
@@ -38,27 +38,33 @@ impl IdentifiedFault {
     /// This is a total order, so folding candidates with `wins_over` is
     /// associative and commutative — every grouping of the work (serial,
     /// any thread count, an interrupted-then-resumed campaign) merges to
-    /// the identical survivor. All merge sites (the serial driver, the
-    /// in-process worker pool, and the `fires-jobs` campaign merge) must
-    /// use this predicate.
+    /// the identical survivor. [`fold_identified`] is the one fold built
+    /// on it; the per-stem dedup, report assembly and the `fires-jobs`
+    /// campaign merge all go through it.
     pub fn wins_over(&self, other: &IdentifiedFault) -> bool {
         (self.c, self.stem, self.frame) < (other.c, other.stem, other.frame)
     }
 }
 
-/// Folds `cand` into a per-fault best map using
-/// [`IdentifiedFault::wins_over`].
-pub(crate) fn merge_candidate(
-    best: &mut std::collections::HashMap<Fault, IdentifiedFault>,
-    cand: IdentifiedFault,
-) {
-    best.entry(cand.fault)
-        .and_modify(|e| {
-            if cand.wins_over(e) {
-                *e = cand;
-            }
-        })
-        .or_insert(cand);
+/// Folds identification candidates to one entry per fault — the winner
+/// under [`IdentifiedFault::wins_over`] — sorted by [`Fault`]. The result
+/// does not depend on the order (or repetition) of the candidates.
+pub fn fold_identified(
+    candidates: impl IntoIterator<Item = IdentifiedFault>,
+) -> Vec<IdentifiedFault> {
+    let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
+    for cand in candidates {
+        best.entry(cand.fault)
+            .and_modify(|e| {
+                if cand.wins_over(e) {
+                    *e = cand;
+                }
+            })
+            .or_insert(cand);
+    }
+    let mut folded: Vec<IdentifiedFault> = best.into_values().collect();
+    folded.sort_unstable_by_key(|f| f.fault);
+    folded
 }
 
 /// Human-readable record of one implication process, used to reproduce the
@@ -161,8 +167,9 @@ impl<'c> FiresReport<'c> {
 
     /// Per-phase wall-clock breakdown of the run (implication,
     /// unobservability, validation). With the `tracing` feature disabled
-    /// only the total is populated. In threaded runs the phases are
-    /// summed across workers and may exceed the wall-clock total.
+    /// only the total is populated. With more than one worker thread the
+    /// phases are summed across workers and may exceed the wall-clock
+    /// total.
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.phase_times
     }
@@ -228,5 +235,69 @@ impl fmt::Display for FiresReport<'_> {
             self.stems_processed,
             self.phase_times.total.as_secs_f64()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fires_netlist::StuckValue;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    fn candidates(raw: &[(usize, bool, u32, i32, usize)]) -> Vec<IdentifiedFault> {
+        raw.iter()
+            .map(|&(line, stuck, c, frame, stem)| IdentifiedFault {
+                fault: Fault::new(LineId::new(line), StuckValue::from_bool(stuck)),
+                c,
+                frame,
+                stem: LineId::new(stem),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        /// Shuffled or duplicated candidate lists fold to the same list:
+        /// one entry per fault, the `wins_over` minimum, sorted by fault.
+        #[test]
+        fn fold_identified_ignores_order_and_repetition(
+            raw in proptest::collection::vec((0usize..6, 0u8..2, 0u32..4, -3i32..3, 0usize..5), 0..40),
+            shuffle_seed in 0u64..u64::MAX,
+            dup_from in 0usize..40,
+        ) {
+            let raw: Vec<_> = raw
+                .into_iter()
+                .map(|(line, stuck, c, frame, stem)| (line, stuck == 1, c, frame, stem))
+                .collect();
+            let cands = candidates(&raw);
+            let folded = fold_identified(cands.iter().copied());
+
+            let mut shuffled = cands.clone();
+            let mut state = shuffle_seed;
+            for i in (1..shuffled.len()).rev() {
+                state = crate::splitmix64(state);
+                shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            shuffled.extend_from_slice(&cands[dup_from.min(cands.len())..]);
+            prop_assert_eq!(fold_identified(shuffled), folded.clone());
+
+            // The oracle: the (c, stem, frame) minimum of each fault.
+            let mut faults: Vec<Fault> = cands.iter().map(|f| f.fault).collect();
+            faults.sort_unstable();
+            faults.dedup();
+            let expected: Vec<IdentifiedFault> = faults
+                .iter()
+                .map(|&fault| {
+                    *cands
+                        .iter()
+                        .filter(|f| f.fault == fault)
+                        .min_by_key(|f| (f.c, f.stem, f.frame))
+                        .unwrap()
+                })
+                .collect();
+            prop_assert_eq!(folded, expected);
+        }
     }
 }

@@ -3,15 +3,12 @@
 //! The merged report is a pure function of the *set* of unit records:
 //! independent of thread count, journal append order, and of whether the
 //! campaign ran in one process or was killed and resumed. That holds
-//! because per-fault candidates fold with the total order
-//! [`IdentifiedFault::wins_over`] and every list in the canonical form
-//! is sorted. [`CampaignReport::canonical_json`] excludes wall-clock
+//! because per-fault candidates go through [`fold_identified`], whose
+//! total order makes the fold order-free, and every list in the
+//! canonical form is sorted. [`CampaignReport::canonical_json`] excludes wall-clock
 //! fields, so its bytes can be `diff`ed across runs.
 
-use std::collections::HashMap;
-
-use fires_core::{Fires, IdentifiedFault};
-use fires_netlist::Fault;
+use fires_core::{fold_identified, Fires, IdentifiedFault};
 use fires_obs::{Json, RuleProfile, RunMetrics, RunReport};
 
 use crate::journal::{JournalContents, UnitStatus};
@@ -112,7 +109,7 @@ pub fn merge(
     for (t, task) in tasks.iter().enumerate() {
         let fires = &engines[t];
         let stems = fires.stems();
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
+        let mut claims = Vec::new();
         let mut report = TaskReport {
             name: task.name.clone(),
             validated: task.config.validate,
@@ -161,22 +158,11 @@ pub fn merge(
                     report.units_ok += 1;
                     report.marks += unit.marks;
                     report.max_frames_used = report.max_frames_used.max(unit.frames);
-                    for cand in unit.identified(stems[unit.stem]) {
-                        best.entry(cand.fault)
-                            .and_modify(|e| {
-                                if cand.wins_over(e) {
-                                    *e = cand;
-                                }
-                            })
-                            .or_insert(cand);
-                    }
+                    claims.push(unit);
                 }
             }
         }
-        report.faults = best.into_values().collect();
-        report
-            .faults
-            .sort_unstable_by_key(|f| (f.fault.line, f.fault.stuck.as_bool()));
+        report.faults = fold_identified(claims.iter().flat_map(|u| u.identified(stems[u.stem])));
         report.fault_names = report
             .faults
             .iter()
@@ -315,20 +301,26 @@ mod tests {
     #[test]
     fn merged_report_matches_direct_run() {
         let path = temp("direct");
-        let spec = CampaignSpec::from_circuits("t", ["s27"]);
+        let circuits = ["s27", "fig3", "fig7", "s208_like"];
+        let spec = CampaignSpec::from_circuits("t", circuits);
         run(&spec, &path, &RunnerConfig::default()).unwrap();
         let contents = journal::read(&path).unwrap();
         let tasks = spec.resolve().unwrap();
         let merged = merge(&contents, &tasks, &build_engines(&tasks).unwrap());
 
-        // The same circuit run through the plain core driver.
-        let direct = Fires::try_new(&tasks[0].circuit, tasks[0].config)
-            .unwrap()
-            .run();
-        let mut direct_faults: Vec<_> = direct.redundant_faults().to_vec();
-        direct_faults.sort_unstable_by_key(|f| (f.fault.line, f.fault.stuck.as_bool()));
-        assert_eq!(merged.tasks[0].faults, direct_faults);
-        assert!(merged.tasks[0].clean());
+        // The same circuits run through the plain core driver.
+        for (t, task) in tasks.iter().enumerate() {
+            let direct = Fires::try_new(&task.circuit, task.config).unwrap().run();
+            assert_eq!(
+                merged.tasks[t].faults,
+                direct.redundant_faults(),
+                "{}",
+                task.name
+            );
+            assert_eq!(merged.tasks[t].marks, direct.marks_created() as u64);
+            assert!(merged.tasks[t].clean(), "{}", task.name);
+        }
+        assert!(merged.tasks.iter().any(|t| !t.faults.is_empty()));
     }
 
     #[test]
