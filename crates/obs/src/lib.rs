@@ -47,5 +47,5 @@ pub use series::{prom_name, render_prometheus, SeriesRegistry};
 pub use timer::{PhaseClock, PhaseTimes};
 pub use trace::{
     emit_event, set_subscriber, subscriber, tracing_enabled, CollectingSubscriber, FieldValue,
-    SpanGuard, StderrSubscriber, Subscriber, TraceRecord,
+    SpanGuard, Subscriber, TraceRecord,
 };

@@ -252,33 +252,6 @@ impl Subscriber for CollectingSubscriber {
     }
 }
 
-/// Subscriber printing one line per record to stderr (for ad-hoc
-/// debugging of long runs: `FIRES_TRACE=1` in the bench binaries).
-#[derive(Default)]
-pub struct StderrSubscriber;
-
-fn render_fields(fields: &[(&'static str, FieldValue)]) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-impl Subscriber for StderrSubscriber {
-    fn on_span_enter(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        eprintln!("[obs] >> {name} {}", render_fields(fields));
-    }
-
-    fn on_span_exit(&self, name: &'static str, elapsed: Duration) {
-        eprintln!("[obs] << {name} ({elapsed:?})");
-    }
-
-    fn on_event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        eprintln!("[obs] -- {name} {}", render_fields(fields));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -74,7 +74,7 @@
 //! `RunReport`-compatible JSON document. `metrics --socket` scrapes
 //! the same counters (plus the labeled tenant/job series) as a
 //! Prometheus text exposition, and `debug-dump --socket` makes the
-//! daemon write its flight-recorder ring to a `flight-<ts>.jsonl`
+//! daemon write its event ring to a `flight-<ts>.jsonl`
 //! under the state dir — the dump it would produce on a drain timeout
 //! or panic.
 
@@ -1219,7 +1219,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `fires debug-dump`: ask the server to write its flight-recorder ring
+/// `fires debug-dump`: ask the server to write its event ring
 /// to a `flight-<ts>.jsonl` file under the state dir, on demand — the
 /// same dump a drain timeout, quarantine, or panic produces.
 fn cmd_debug_dump(args: &[String]) -> Result<(), String> {

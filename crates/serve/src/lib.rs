@@ -36,17 +36,15 @@
 
 pub mod cache;
 pub mod client;
-pub mod flight;
+pub mod events;
 pub mod proto;
 pub mod server;
 pub mod signal;
 pub mod subscribers;
-pub mod trace;
 
 pub use cache::ResultCache;
 pub use client::Connection;
-pub use flight::{FlightEvent, FlightRecorder, FLIGHT_SCHEMA};
+pub use events::{EventLog, SCHEMA};
 pub use proto::{Request, Response, SubmitRequest};
 pub use server::{job_key, run_server, ServeConfig};
 pub use subscribers::ProgressQueue;
-pub use trace::{TraceStore, TRACE_SCHEMA};

@@ -71,7 +71,7 @@ pub enum Request {
     Status,
     /// Fetch server metrics as a Prometheus text exposition document.
     Metrics,
-    /// Dump the flight recorder to `<state-dir>/flight-<ts>.jsonl` and
+    /// Dump the event log's ring to `<state-dir>/flight-<ts>.jsonl` and
     /// report the path — the operator's on-demand post-mortem.
     DebugDump,
     /// Liveness probe: a small health document (status, uptime,
@@ -150,7 +150,7 @@ pub enum Response {
         /// The full exposition document.
         text: String,
     },
-    /// A flight-recorder dump was written, answering
+    /// A ring dump was written, answering
     /// [`Request::DebugDump`].
     Dumped {
         /// Path of the dump file on the server's filesystem.

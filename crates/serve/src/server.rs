@@ -70,7 +70,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use fires_core::ContentHasher;
@@ -78,14 +78,13 @@ use fires_jobs::{
     journal, report_with_tasks, resume, run_with_tasks, CampaignSpec, JournalSummary, ResolvedTask,
     RunnerConfig, Site, UnitObserver,
 };
-use fires_obs::{names, render_prometheus, FieldValue, Json, RunReport, SeriesRegistry};
+use fires_obs::{names, render_prometheus, Json, RunReport, SeriesRegistry};
 
 use crate::cache::ResultCache;
-use crate::flight::FlightRecorder;
+use crate::events::{self, write_atomic, EventLog, Fields};
 use crate::proto::{Request, Response, SubmitRequest};
 use crate::signal;
 use crate::subscribers::ProgressQueue;
-use crate::trace::TraceStore;
 
 /// Domain tag of the job content key ("job" in ASCII), so job keys can
 /// never collide with the per-task hashes they are folded from.
@@ -150,7 +149,7 @@ pub struct ServeConfig {
     pub heartbeat_interval: Duration,
     /// Maximum length of one protocol request line, in bytes.
     pub max_line_bytes: usize,
-    /// Events the flight recorder retains (oldest dropped first).
+    /// Events the event log's ring retains (oldest dropped first).
     pub flight_capacity: usize,
 }
 
@@ -272,12 +271,10 @@ struct Inner {
     started: Instant,
     /// Last watchdog beat, for staleness reporting.
     last_beat: Mutex<Instant>,
-    /// Always-on ring of structured service events, dumped on crash
-    /// triggers and `debug-dump` (`Arc` so the panic hook can hold it).
-    flight: Arc<FlightRecorder>,
-    /// Per-request trace collector (`Arc` shared with the leaked
-    /// [`UnitObserver`] every job's runner reports into).
-    trace: Arc<TraceStore>,
+    /// Every service milestone, for the ring dumps and the request
+    /// traces (`Arc` so the panic hook and the runner's observer can
+    /// reach it).
+    events: Arc<EventLog>,
 }
 
 /// What admission decided about one submission.
@@ -297,42 +294,51 @@ enum RunOutcome {
     Failed(String),
 }
 
-/// The bridge from runner unit milestones into the request trace: one
-/// instant per completed unit and per journal append, keyed by the
+/// The bridge from runner unit milestones into the event log: one
+/// lane event per completed unit and per journal append, keyed by the
 /// `trace_token` the worker set to the job's content key. Leaked once
-/// per server (the `Copy` [`RunnerConfig`] needs a `&'static`).
+/// per server (the `Copy` [`RunnerConfig`] needs a `&'static`), so it
+/// holds the log weakly: a stopped server's log is freed.
 #[derive(Debug)]
-struct TraceObserver(Arc<TraceStore>);
+struct LaneObserver(Weak<EventLog>);
 
-impl UnitObserver for TraceObserver {
+impl UnitObserver for LaneObserver {
     fn unit_finished(&self, token: u64, task: usize, stem: usize, seconds: f64) {
-        if !self.0.tracing(token) {
-            return; // idle or unwatched job: one map lookup, no alloc
+        if let Some(log) = self.0.upgrade() {
+            let fields = vec![
+                ("task", task.into()),
+                ("stem", stem.into()),
+                ("ms", (seconds * 1e3).into()),
+            ];
+            log.record("unit", Some(token), fields);
         }
-        self.0.instant(
-            token,
-            "unit",
-            vec![
-                ("task", FieldValue::U64(task as u64)),
-                ("stem", FieldValue::U64(stem as u64)),
-                ("ms", FieldValue::F64(seconds * 1e3)),
-            ],
-        );
     }
 
     fn unit_journaled(&self, token: u64, task: usize, stem: usize) {
-        if !self.0.tracing(token) {
-            return;
+        if let Some(log) = self.0.upgrade() {
+            let fields = vec![("task", task.into()), ("stem", stem.into())];
+            log.record("journal_append", Some(token), fields);
         }
-        self.0.instant(
-            token,
-            "journal_append",
-            vec![
-                ("task", FieldValue::U64(task as u64)),
-                ("stem", FieldValue::U64(stem as u64)),
-            ],
-        );
     }
+}
+
+/// The ring fields of an absorbed degradation, the ring twin of a
+/// `serve.degraded.*` counter bump.
+fn absorbed(kind: &'static str, detail: Option<String>) -> Fields {
+    let mut fields = vec![("kind", kind.into())];
+    if let Some(detail) = detail {
+        fields.push(("detail", detail.into()));
+    }
+    fields
+}
+
+/// The ring fields of one admission decision.
+fn admission(tenant: &str, job: Option<&str>, note: &'static str) -> Fields {
+    let mut fields = vec![("tenant", tenant.into()), ("note", note.into())];
+    if let Some(job) = job {
+        fields.push(("job", job.into()));
+    }
+    fields
 }
 
 impl Inner {
@@ -356,21 +362,14 @@ impl Inner {
         self.jobs_dir().join(format!("{job_id}.jsonl"))
     }
 
-    fn traces_dir(&self) -> PathBuf {
-        self.cfg.state_dir.join("traces")
-    }
-
-    /// Dumps the flight recorder to `<state_dir>/flight-<ts>.jsonl`,
+    /// Dumps the event ring to `<state_dir>/flight-<ts>.jsonl`,
     /// recording the trigger itself first so the dump ends with its own
     /// cause. Best-effort: a failed dump is counted nowhere — it runs
     /// on crash paths where nothing may panic.
     fn flight_dump(&self, reason: &'static str) -> Result<(PathBuf, usize), String> {
-        self.flight.record("dump", {
-            let mut d = Json::object();
-            d.set("reason", reason);
-            d
-        });
-        let dumped = self.flight.dump(&self.cfg.state_dir, reason)?;
+        self.events
+            .record("dump", None, vec![("reason", reason.into())]);
+        let dumped = self.events.dump(reason)?;
         self.lock().metrics.incr(names::FLIGHT_DUMPS, 1);
         Ok(dumped)
     }
@@ -393,11 +392,8 @@ impl Inner {
     /// thread notices; `drain: true` closes admission and lets the
     /// accept loop orchestrate a bounded checkpoint-and-exit.
     fn begin_shutdown(&self, drain: bool) {
-        self.flight.record("shutdown", {
-            let mut d = Json::object();
-            d.set("drain", drain);
-            d
-        });
+        self.events
+            .record("shutdown", None, vec![("drain", drain.into())]);
         self.draining.store(true, Ordering::SeqCst);
         self.runner_stop.store(true, Ordering::SeqCst);
         if !drain {
@@ -422,12 +418,16 @@ impl Inner {
         if self.disk_fault() {
             st.metrics.incr(names::DEGRADED_DISK_FAULTS, 1);
             st.metrics.incr(names::DEGRADED_CACHE_INSERT_FAILURES, 1);
-            self.flight_absorbed("cache-insert-disk-fault", &format!("{key:016x}"));
+            let detail = Some(format!("{key:016x}"));
+            let fields = absorbed("cache-insert-disk-fault", detail);
+            self.events.record("absorbed", None, fields);
             return;
         }
         if !st.cache.insert(key, text) {
             st.metrics.incr(names::DEGRADED_CACHE_INSERT_FAILURES, 1);
-            self.flight_absorbed("cache-insert-failure", &format!("{key:016x}"));
+            let detail = Some(format!("{key:016x}"));
+            let fields = absorbed("cache-insert-failure", detail);
+            self.events.record("absorbed", None, fields);
         }
     }
 
@@ -438,7 +438,8 @@ impl Inner {
         if let Some(c) = self.cfg.runner.chaos {
             if c.hits(Site::Write, next(&self.counters.writes), 0, 0) {
                 self.lock().metrics.incr(names::DEGRADED_WRITE_FAULTS, 1);
-                self.flight_absorbed("write-fault", "");
+                self.events
+                    .record("absorbed", None, absorbed("write-fault", None));
                 return Err(std::io::Error::new(
                     ErrorKind::BrokenPipe,
                     "injected write fault",
@@ -480,38 +481,12 @@ impl Inner {
         Ok((spec, Arc::new(tasks), key))
     }
 
-    /// One structured flight event for an absorbed degradation — the
-    /// flight-recorder twin of a `serve.degraded.*` counter bump.
-    fn flight_absorbed(&self, kind: &str, detail: &str) {
-        self.flight.record("absorbed", {
-            let mut d = Json::object();
-            d.set("kind", kind);
-            if !detail.is_empty() {
-                d.set("detail", detail);
-            }
-            d
-        });
-    }
-
-    /// One structured flight event for an admission decision.
-    fn flight_admission(&self, what: &'static str, tenant: &str, job: Option<&str>, note: &str) {
-        let mut d = Json::object();
-        d.set("tenant", tenant);
-        if let Some(job) = job {
-            d.set("job", job);
-        }
-        if !note.is_empty() {
-            d.set("note", note);
-        }
-        self.flight.record(what, d);
-    }
-
     /// Admission control: drain gate, cache lookup, single-flight
     /// attach, queue and tenant limits, enqueue.
     fn admit(&self, s: &SubmitRequest) -> Result<Admission, String> {
         // Stamped before any work so the `submit` span covers
         // normalization (spec resolution builds every circuit).
-        let submit_ts = self.trace.now_us();
+        let entry_us = self.events.now_us();
         if self.draining() || self.stopping() {
             // Typed, not an `error`: the client knows the daemon is
             // going away (transient) rather than refusing it (policy),
@@ -520,12 +495,17 @@ impl Inner {
             st.metrics.incr(names::SUBMISSIONS, 1);
             st.metrics.incr(names::REJECTED_DRAINING, 1);
             drop(st);
-            self.flight_admission("reject", &s.tenant, None, "draining");
+            self.events
+                .record("reject", None, admission(&s.tenant, None, "draining"));
             return Ok(Admission::Draining);
         }
         let (spec, tasks, key) = self.normalize(s)?;
         let job_id = spec.name.clone();
-        let trace_id = self.trace.mint(key);
+        let request = events::Request {
+            trace_id: self.events.mint(key),
+            tenant: s.tenant.clone(),
+            entry_us,
+        };
         let mut st = self.lock();
         st.metrics.incr(names::SUBMISSIONS, 1);
         st.series
@@ -543,14 +523,13 @@ impl Inner {
         if let Some(report) = hit {
             st.metrics.incr(names::CACHE_HITS, 1);
             drop(st);
-            if self
-                .trace
-                .write_cache_hit(&self.traces_dir(), trace_id, &s.tenant, key, submit_ts)
-                .is_some()
-            {
-                self.lock().metrics.incr(names::TRACES_WRITTEN, 1);
+            let fields = admission(&s.tenant, Some(&job_id), "cache-hit");
+            let traces = self.events.record_request("admit", key, request, fields);
+            if traces > 0 {
+                self.lock()
+                    .metrics
+                    .incr(names::TRACES_WRITTEN, traces as u64);
             }
-            self.flight_admission("admit", &s.tenant, Some(&job_id), "cache-hit");
             return Ok(Admission::Hit {
                 job: job_id,
                 report,
@@ -563,9 +542,8 @@ impl Inner {
             // Single-flight: attach to the in-flight execution.
             st.metrics.incr(names::DEDUPED, 1);
             drop(st);
-            self.trace.attach(key, trace_id, &s.tenant);
-            self.trace.instant(key, "deduped", Vec::new());
-            self.flight_admission("admit", &s.tenant, Some(&job_id), "deduped");
+            let fields = admission(&s.tenant, Some(&job_id), "deduped");
+            self.events.record_request("admit", key, request, fields);
             return Ok(Admission::Accepted { key, job: job_id });
         }
         // Tenant limit before queue bound: a tenant over its own limit
@@ -576,7 +554,8 @@ impl Inner {
             st.metrics
                 .incr(&format!("{}{}", names::REJECTED_PREFIX, s.tenant), 1);
             drop(st);
-            self.flight_admission("reject", &s.tenant, Some(&job_id), "tenant-limit");
+            let fields = admission(&s.tenant, Some(&job_id), "tenant-limit");
+            self.events.record("reject", None, fields);
             return Ok(Admission::Rejected {
                 reason: format!(
                     "tenant {:?} at its active-job limit ({})",
@@ -589,7 +568,8 @@ impl Inner {
                 .incr(&format!("{}{}", names::REJECTED_PREFIX, s.tenant), 1);
             let queued = st.queue.len();
             drop(st);
-            self.flight_admission("reject", &s.tenant, Some(&job_id), "queue-full");
+            let fields = admission(&s.tenant, Some(&job_id), "queue-full");
+            self.events.record("reject", None, fields);
             return Ok(Admission::Rejected {
                 reason: format!("admission queue full ({queued} queued)"),
             });
@@ -607,10 +587,11 @@ impl Inner {
         );
         st.queue.push_back(key);
         *st.active.entry(s.tenant.clone()).or_insert(0) += 1;
+        // Recorded before the lock drops, so no worker can claim the
+        // job before its lane exists.
+        let fields = admission(&s.tenant, Some(&job_id), "queued");
+        self.events.record_request("admit", key, request, fields);
         drop(st);
-        self.trace.attach(key, trace_id, &s.tenant);
-        self.trace.submitted(key, submit_ts, &job_id);
-        self.flight_admission("admit", &s.tenant, Some(&job_id), "queued");
         self.wake.notify_one();
         Ok(Admission::Accepted { key, job: job_id })
     }
@@ -670,12 +651,11 @@ impl Inner {
                 queued_at.elapsed().as_millis() as u64,
             );
             drop(st);
-            self.trace.claimed(key);
-            self.flight.record("claim", {
-                let mut d = Json::object();
-                d.set("job", job_id.as_str()).set("tenant", tenant.as_str());
-                d
-            });
+            let fields = vec![
+                ("job", job_id.as_str().into()),
+                ("tenant", tenant.as_str().into()),
+            ];
+            self.events.record("claim", Some(key), fields);
 
             if let Some(delay) = self.cfg.runner.chaos.and_then(|c| c.wakeup_delay()) {
                 // Injected late wakeup: widens the window in which a
@@ -686,7 +666,7 @@ impl Inner {
                 std::thread::sleep(delay);
             }
             let path = self.journal_path(&job_id);
-            // The runner reports unit milestones into the request trace
+            // The runner reports unit milestones into the event log
             // through the observer; the token routes them to this job.
             let mut rc = self.cfg.runner;
             rc.trace_token = key;
@@ -700,13 +680,13 @@ impl Inner {
             } else {
                 run_with_tasks(&spec, &tasks, &path, &rc)
             };
-            self.trace.engine_done(key);
+            self.events.record("run_end", Some(key), Vec::new());
             let outcome = match ran {
                 Err(e) => RunOutcome::Failed(e.to_string()),
                 Ok(summary) if summary.complete() => {
-                    self.trace.merge_begin(key);
+                    self.events.record("merge_start", Some(key), Vec::new());
                     let merged = report_with_tasks(&path, &tasks);
-                    self.trace.merge_end(key);
+                    self.events.record("merge_end", Some(key), Vec::new());
                     match merged {
                         Ok(r) => RunOutcome::Done(Arc::new(r.canonical_text())),
                         Err(e) => RunOutcome::Failed(e.to_string()),
@@ -730,13 +710,18 @@ impl Inner {
                 RunOutcome::Checkpointed => "checkpointed",
                 RunOutcome::Failed(_) => "failed",
             };
-            // The request traces close before the terminal phase is
-            // published, so a watcher that sees `done` can already read
-            // its trace file.
-            let traces = self.trace.finish(key, &self.traces_dir());
+            // The terminal event writes the request traces before the
+            // terminal phase is published, so a watcher that sees `done`
+            // can already read its trace file.
+            let fields = vec![
+                ("job", job_id.as_str().into()),
+                ("tenant", tenant.as_str().into()),
+                ("outcome", note.into()),
+            ];
+            let traces = self.events.record("job", Some(key), fields);
             let mut st = self.lock();
-            if !traces.is_empty() {
-                st.metrics.incr(names::TRACES_WRITTEN, traces.len() as u64);
+            if traces > 0 {
+                st.metrics.incr(names::TRACES_WRITTEN, traces as u64);
             }
             if let Some(job) = st.jobs.get_mut(&key) {
                 match &outcome {
@@ -774,13 +759,6 @@ impl Inner {
                 }
             }
             drop(st);
-            self.flight.record("job", {
-                let mut d = Json::object();
-                d.set("job", job_id.as_str())
-                    .set("tenant", tenant.as_str())
-                    .set("outcome", note);
-                d
-            });
             self.done.notify_all();
         }
     }
@@ -872,7 +850,8 @@ impl Inner {
                         self.lock()
                             .metrics
                             .incr(names::DEGRADED_SLOW_SUBSCRIBERS, 1);
-                        self.flight_absorbed("slow-subscriber", job_id);
+                        let fields = absorbed("slow-subscriber", Some(job_id.into()));
+                        self.events.record("absorbed", None, fields);
                     }
                     return Ok(()); // subscriber dead or too slow: disconnect
                 }
@@ -883,7 +862,8 @@ impl Inner {
                     queue.dropped() - drops_counted,
                 );
                 drops_counted = queue.dropped();
-                self.flight_absorbed("dropped-progress", job_id);
+                let fields = absorbed("dropped-progress", Some(job_id.into()));
+                self.events.record("absorbed", None, fields);
             }
             if is_terminal {
                 return Ok(());
@@ -989,32 +969,20 @@ impl Inner {
                 j.set("seq", seq)
                     .set("epoch_seconds", epoch)
                     .set("status", if self.draining() { "draining" } else { "ok" });
-                // Write-then-rename: a reader polling the file must
-                // never observe a truncated beat.
-                let tmp = self.cfg.state_dir.join("heartbeat.json.tmp");
-                if std::fs::write(&tmp, format!("{}\n", j.to_compact())).is_ok() {
-                    let _ = std::fs::rename(&tmp, &path);
-                }
+                // A reader polling the file must never observe a
+                // truncated beat.
+                let _ = write_atomic(&path, format!("{}\n", j.to_compact()));
             }
             self.lock().metrics.incr(names::HEARTBEATS, 1);
-            self.flight.record("beat", {
-                let mut d = Json::object();
-                d.set("seq", seq);
-                d
-            });
+            self.events.record("beat", None, vec![("seq", seq.into())]);
             // Each beat also snapshots the Prometheus exposition to
-            // `<state_dir>/metrics/serve.prom` (write-then-rename, like
-            // the heartbeat) so dashboards without socket access can
-            // scrape a file. Counted *before* rendering so the snapshot
-            // numbers itself.
+            // `<state_dir>/metrics/serve.prom` (written whole, like the
+            // heartbeat) so dashboards without socket access can scrape
+            // a file. Counted *before* rendering so the snapshot numbers
+            // itself.
             self.lock().metrics.incr(names::METRIC_SNAPSHOTS, 1);
-            let metrics_dir = self.cfg.state_dir.join("metrics");
-            if std::fs::create_dir_all(&metrics_dir).is_ok() {
-                let tmp = metrics_dir.join("serve.prom.tmp");
-                if std::fs::write(&tmp, self.metrics_text()).is_ok() {
-                    let _ = std::fs::rename(&tmp, metrics_dir.join("serve.prom"));
-                }
-            }
+            let prom = self.cfg.state_dir.join("metrics").join("serve.prom");
+            let _ = write_atomic(&prom, self.metrics_text());
             // Sleep in short slices so shutdown is not delayed by a
             // full interval.
             let deadline = Instant::now() + self.cfg.heartbeat_interval;
@@ -1033,12 +1001,14 @@ impl Inner {
                 // An artificially slow client: the handler thread wears
                 // the stall, the accept loop and workers never notice.
                 self.lock().metrics.incr(names::DEGRADED_STALLS, 1);
-                self.flight_absorbed("stall", "");
+                self.events
+                    .record("absorbed", None, absorbed("stall", None));
                 std::thread::sleep(stall);
             }
             if c.hits(Site::Read, next(&self.counters.reads), 0, 0) {
                 self.lock().metrics.incr(names::DEGRADED_READ_FAULTS, 1);
-                self.flight_absorbed("read-fault", "");
+                self.events
+                    .record("absorbed", None, absorbed("read-fault", None));
                 return; // as if the socket died before the request
             }
         }
@@ -1239,12 +1209,14 @@ impl Inner {
                         st.metrics.incr(names::RESUMED, 1);
                     }
                     drop(st);
-                    self.flight.record("recover", {
-                        let mut d = Json::object();
-                        d.set("job", format!("{key:016x}"))
-                            .set("outcome", if complete { "indexed" } else { "requeued" });
-                        d
-                    });
+                    let fields = vec![
+                        ("job", format!("{key:016x}").into()),
+                        (
+                            "outcome",
+                            if complete { "indexed" } else { "requeued" }.into(),
+                        ),
+                    ];
+                    self.events.record("recover", None, fields);
                 }
                 None => {
                     st.metrics.incr(names::SCAN_ERRORS, 1);
@@ -1253,13 +1225,10 @@ impl Inner {
                     quarantined.push(".quarantined");
                     if std::fs::rename(&path, PathBuf::from(quarantined)).is_ok() {
                         self.lock().metrics.incr(names::QUARANTINED, 1);
-                        self.flight.record("quarantine", {
-                            let mut d = Json::object();
-                            d.set("path", path.display().to_string());
-                            d
-                        });
+                        let fields = vec![("path", path.display().to_string().into())];
+                        self.events.record("quarantine", None, fields);
                         // A quarantine is a crash trigger: dump the
-                        // flight so the post-mortem has the scan's own
+                        // ring so the post-mortem has the scan's own
                         // event sequence.
                         let _ = self.flight_dump("quarantine");
                     }
@@ -1314,34 +1283,15 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     let runner_stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
     cfg.runner.stop = Some(runner_stop);
 
-    // The trace store and its runner-side observer. Leaked like
-    // `runner_stop` and for the same reason: the `Copy` `RunnerConfig`
-    // carries a `&'static dyn UnitObserver`.
-    let trace = Arc::new(TraceStore::new());
-    let observer: &'static TraceObserver = Box::leak(Box::new(TraceObserver(Arc::clone(&trace))));
+    // The event log and its runner-side observer. The observer is
+    // leaked like `runner_stop` and for the same reason: the `Copy`
+    // `RunnerConfig` carries a `&'static dyn UnitObserver`.
+    let events = Arc::new(EventLog::new(cfg.flight_capacity, cfg.state_dir.clone()));
+    let observer: &'static LaneObserver =
+        Box::leak(Box::new(LaneObserver(Arc::downgrade(&events))));
     cfg.runner.observer = Some(observer);
-
-    let flight = Arc::new(FlightRecorder::new(cfg.flight_capacity));
-    // A panic in a service thread dumps the flight before unwinding
-    // continues. The filter keeps runner-level unit panics (injected by
-    // chaos plans and *caught* by the runner's retry path) from
-    // spraying dumps: only named service threads and the accept loop's
-    // own thread count as a service crash.
-    {
-        let flight = Arc::clone(&flight);
-        let state_dir = cfg.state_dir.clone();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let name = std::thread::current().name().map(str::to_string);
-            let service = name
-                .as_deref()
-                .is_some_and(|n| n.starts_with("fires-serve") || n == "main");
-            if service {
-                let _ = flight.dump(&state_dir, "panic");
-            }
-            prev(info);
-        }));
-    }
+    // A panic in a service thread dumps the ring until this returns.
+    let _panic_dump = events.dump_on_panic();
 
     let workers = cfg.workers.max(1);
     let cache = ResultCache::new(cfg.cache_bytes);
@@ -1364,8 +1314,7 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
         counters: ChaosCounters::default(),
         started: Instant::now(),
         last_beat: Mutex::new(Instant::now()),
-        flight,
-        trace,
+        events,
     });
     inner.recover()?;
 
@@ -1423,7 +1372,7 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
                 drop(st);
                 if timed_out && !workers_done {
                     // A drain timeout is exactly the situation the
-                    // flight recorder exists for: what led up to the
+                    // event ring exists for: what led up to the
                     // worker that never checkpointed?
                     let _ = inner.flight_dump("drain-timeout");
                 }
@@ -1474,7 +1423,7 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     }
     let _ = watchdog_handle.join();
     let exit_path = inner.cfg.state_dir.join("exit.report.json");
-    let _ = std::fs::write(
+    let _ = write_atomic(
         &exit_path,
         format!("{}\n", inner.status_report().to_compact()),
     );

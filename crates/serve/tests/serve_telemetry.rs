@@ -307,3 +307,54 @@ fn flight_ring_is_bounded_by_capacity() {
     );
     shutdown_now(&socket, handle);
 }
+
+#[test]
+fn trace_spans_and_ring_events_share_one_clock() {
+    let dir = temp_dir("clock");
+    let state = dir.join("state");
+    let (socket, handle) = start(ServeConfig::new(dir.join("sock"), state.clone()));
+
+    let resp = submit_and_finish(&socket, submit(&["s27"], "ci"));
+    assert!(matches!(resp, Response::Done { .. }), "{resp:?}");
+    let dump = match Connection::request(&socket, &Request::DebugDump).unwrap() {
+        Response::Dumped { path, .. } => std::fs::read_to_string(path).unwrap(),
+        other => panic!("debug-dump failed: {other:?}"),
+    };
+    let traces = trace_files(&state);
+    assert_eq!(traces.len(), 1, "{traces:?}");
+    let doc = Json::parse(&std::fs::read_to_string(&traces[0]).unwrap()).unwrap();
+    let job = doc.get("job").and_then(Json::as_str).unwrap().to_string();
+
+    // A span's begin on the trace (µs) and the same milestone in the
+    // ring dump (ms) come from one recorded event.
+    let begin_us = |span: &str| {
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .find(|e| {
+                e.get("name").and_then(Json::as_str) == Some(span)
+                    && e.get("ph").and_then(Json::as_str) == Some("B")
+            })
+            .and_then(|e| e.get("ts"))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no {span} span"))
+    };
+    let ring_ms = |what: &str| {
+        dump.lines()
+            .skip(1)
+            .map(|l| Json::parse(l).unwrap())
+            .find(|e| {
+                e.get("what").and_then(Json::as_str) == Some(what)
+                    && e.get("detail")
+                        .and_then(|d| d.get("job"))
+                        .and_then(Json::as_str)
+                        == Some(job.as_str())
+            })
+            .and_then(|e| e.get("ts_ms").and_then(Json::as_u64))
+            .unwrap_or_else(|| panic!("no {what} event for job {job}: {dump}"))
+    };
+    assert_eq!(begin_us("queue_wait") / 1000, ring_ms("admit"));
+    assert_eq!(begin_us("engine") / 1000, ring_ms("claim"));
+    shutdown_now(&socket, handle);
+}
