@@ -5,6 +5,11 @@
 //! depend on whether instrumentation (and with it the hotspot profiler)
 //! is compiled in. It also asserts that a four-thread run prints the same
 //! lines as a single-thread one.
+//!
+//! The netlist has one gate (`y`) that drives nothing, so its cone is
+//! dead logic, and the results are printed twice: with Definition-6
+//! validation and without it. The diff thus covers both branches of the
+//! fault-set assembly.
 
 use fires_core::{Fires, FiresConfig, FiresReport};
 use fires_netlist::bench;
@@ -25,6 +30,7 @@ n = NOT(b)\n\
 z = AND(b, n)\n\
 w = OR(q, z)\n\
 x = XOR(b, n)\n\
+y = AND(a, b)\n\
 ";
 
 /// The lines this example prints for one report.
@@ -40,12 +46,19 @@ fn canonical_lines(report: &FiresReport<'_>) -> Vec<String> {
 
 fn main() {
     let circuit = bench::parse(NETLIST).expect("embedded netlist parses");
-    let fires = Fires::new(&circuit, FiresConfig::with_max_frames(5));
-    let lines = canonical_lines(&fires.run());
-    // The worker pool must print the same, so the traced/untraced diff
-    // covers the threaded driver as well.
-    assert_eq!(canonical_lines(&fires.run_threaded(4)), lines);
-    for line in lines {
-        println!("{line}");
+    let validated = FiresConfig::with_max_frames(5);
+    for (section, config) in [
+        ("validated", validated),
+        ("unvalidated", validated.without_validation()),
+    ] {
+        let fires = Fires::new(&circuit, config);
+        let lines = canonical_lines(&fires.run());
+        // The worker pool must print the same, so the traced/untraced
+        // diff covers the threaded driver as well.
+        assert_eq!(canonical_lines(&fires.run_threaded(4)), lines);
+        println!("{section}");
+        for line in lines {
+            println!("{line}");
+        }
     }
 }

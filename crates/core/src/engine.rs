@@ -798,6 +798,15 @@ impl<'c> Implications<'c> {
         (p.epoch == self.epoch).then_some(p)
     }
 
+    /// The presence words of `frame`: the `0̄` and `1̄` bitsets (indexed
+    /// by [`Unc::value`]) and the unobservability bitset, each over the
+    /// line-id space. `None` means every bit is 0: the frame is outside
+    /// the window or its plane was never written this epoch.
+    pub(crate) fn presence(&self, frame: Frame) -> Option<([&[u64]; 2], &[u64])> {
+        let p = self.plane(frame)?;
+        Some(([&p.unc_bits[0], &p.unc_bits[1]], &p.unobs_bits))
+    }
+
     /// Write access to the plane of `frame`, clearing it first if it was
     /// last written in an earlier epoch. Callers must have checked the
     /// window already.

@@ -11,7 +11,7 @@ use crate::error::CoreError;
 use crate::guard::{Budget, BudgetMeter, ExhaustionReason};
 use crate::instrument::{core_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
 use crate::report::{fold_identified, FiresReport, IdentifiedFault, ProcessTrace};
-use crate::window::Frame;
+use crate::window::{Frame, Window};
 use crate::{FiresConfig, ValidationPolicy};
 
 /// How many validation-loop entries pass between cancellation polls in
@@ -253,13 +253,6 @@ pub struct Fires<'c> {
     circuit: &'c Circuit,
     lines: LineGraph,
     config: FiresConfig,
-}
-
-/// Support info for one fault membership in a per-frame fault set.
-#[derive(Clone, Copy, Debug)]
-struct Support {
-    /// Leftmost frame where uncontrollability must propagate.
-    min_unc_frame: Frame,
 }
 
 impl<'c> Fires<'c> {
@@ -544,11 +537,11 @@ impl<'c> Fires<'c> {
         let exhausted = p0.exhausted().or_else(|| p1.exhausted());
 
         clock.enter(phase::VALIDATION);
-        let Some(s0) = self.collect_fault_sets(&p0, &mut ctx.forced, &mut metrics, cancel) else {
+        let Some(s0) = self.fault_sets(&p0, &mut ctx.forced, &mut metrics, cancel) else {
             clock.exit();
             return Err(interrupted());
         };
-        let Some(s1) = self.collect_fault_sets(&p1, &mut ctx.forced, &mut metrics, cancel) else {
+        let Some(s1) = self.fault_sets(&p1, &mut ctx.forced, &mut metrics, cancel) else {
             clock.exit();
             return Err(interrupted());
         };
@@ -588,20 +581,9 @@ impl<'c> Fires<'c> {
             );
         }
 
-        let mut found = 0usize;
-        // fold_identified's total order makes the result independent of
-        // this HashMap's iteration order.
-        let faults = fold_identified(s0.iter().filter_map(|(&(fault, frame), sup0)| {
-            let sup1 = s1.get(&(fault, frame))?;
-            let l = sup0.min_unc_frame.min(sup1.min_unc_frame);
-            found += 1;
-            Some(IdentifiedFault {
-                fault,
-                c: if l < frame { (frame - l) as u32 } else { 0 },
-                frame,
-                stem,
-            })
-        }));
+        let hits = intersect(stem, [(&p0, &s0), (&p1, &s1)]);
+        let found = hits.len();
+        let faults = fold_identified(hits);
         clock.exit();
         metrics.incr("core.faults_found", found as u64);
         let elapsed = stem_started.elapsed();
@@ -636,96 +618,105 @@ impl<'c> Fires<'c> {
         })
     }
 
-    /// Section 5.2: assemble the per-frame fault sets `S_v^i` from the
-    /// process's indicators, applying validation if configured. Returns
-    /// `None` if `cancel` fired mid-assembly.
-    fn collect_fault_sets(
+    /// Section 5.2: assembles one process's per-frame fault sets `S_v^i`
+    /// as bitsets. Every indicator starts accepted: the rows are word
+    /// copies of the engine's presence planes, so without validation no
+    /// per-candidate work is done. With validation, each rejected entry's
+    /// bit is cleared again. The [`ValidityCache::valid`] calls come in
+    /// the order that fixes which candidates the sweep cap drops: marks
+    /// in id order, then the unobservability candidates sorted by
+    /// `(line, frame)`, stuck-at-0 before stuck-at-1. That sort makes the
+    /// fault sets a pure function of the process, which the
+    /// deterministic-merge guarantee rests on. Returns `None` if `cancel`
+    /// fired mid-assembly.
+    fn fault_sets(
         &self,
         imp: &Implications<'_>,
         forced_cache: &mut ForcedCache,
         metrics: &mut RunMetrics,
         cancel: &CancelToken,
-    ) -> Option<HashMap<(Fault, Frame), Support>> {
-        let mut sets: HashMap<(Fault, Frame), Support> = HashMap::new();
-        let mut validity = ValidityCache::default();
-        let mut since_poll = 0u32;
-        let add = |sets: &mut HashMap<(Fault, Frame), Support>,
-                   fault: Fault,
-                   frame: Frame,
-                   sup: Support| {
-            sets.entry((fault, frame))
-                .and_modify(|e| e.min_unc_frame = e.min_unc_frame.max(sup.min_unc_frame))
-                .or_insert(sup);
-        };
-
-        // Uncontrollable faults: a line that can never be v hosts an
-        // unactivatable stuck-at: 0-bar -> s-a-1, 1-bar -> s-a-0.
-        for id in imp.mark_ids() {
-            since_poll += 1;
-            if since_poll >= VALIDATION_POLL_STRIDE {
-                since_poll = 0;
-                if cancel.is_cancelled() {
-                    return None;
-                }
-            }
-            let m = imp.mark(id);
-            let stuck = match m.unc {
-                Unc::Zero => StuckValue::One,
-                Unc::One => StuckValue::Zero,
-            };
-            let fault = Fault::new(m.line, stuck);
-            if self.config.validate && !validity.valid(self, imp, forced_cache, fault, m.frame, id)
-            {
-                metrics.incr("core.validation_rejects", 1);
+    ) -> Option<FaultSets> {
+        let window = imp.window();
+        let mut sets = FaultSets::new(window, self.lines.num_lines());
+        for frame in window.leftmost()..=window.rightmost() {
+            let Some((unc, unobs)) = imp.presence(frame) else {
                 continue;
+            };
+            for stuck in [StuckValue::Zero, StuckValue::One] {
+                // A line that can never be !s hosts an unactivatable s-a-s
+                // (the planes are indexed by the value the line cannot take).
+                sets.row_mut(UNC, frame, stuck)
+                    .copy_from_slice(unc[usize::from(!stuck.as_bool())]);
+                sets.row_mut(UNOBS, frame, stuck).copy_from_slice(unobs);
             }
-            metrics.incr("core.validation_accepts", 1);
-            add(
-                &mut sets,
-                fault,
-                m.frame,
-                Support {
-                    min_unc_frame: m.min_frame,
-                },
-            );
         }
 
-        // Unobservable faults: both stuck values, provided every blame
-        // indicator survives in the faulty circuit. Iterated in sorted
-        // (line, frame) order — the engine yields frame-major order, and
-        // the validity cache's sweep cap means iteration order could
-        // otherwise decide *which* candidates are conservatively dropped
-        // once the cap is hit. Sorting makes the fault sets a pure
-        // function of the process, which the deterministic-merge
-        // guarantee rests on.
-        let mut unobs: Vec<(LineId, Frame, &[MarkId])> = imp.unobs_iter().collect();
-        unobs.sort_unstable_by_key(|&(line, frame, _)| (line, frame));
-        for (line, frame, blame) in unobs {
+        let mut since_poll = 0u32;
+        let mut cancelled = || {
             since_poll += 1;
-            if since_poll >= VALIDATION_POLL_STRIDE {
-                since_poll = 0;
-                if cancel.is_cancelled() {
-                    return None;
-                }
+            since_poll.is_multiple_of(VALIDATION_POLL_STRIDE) && cancel.is_cancelled()
+        };
+        // One pass over the unobservability indicators tallies their
+        // blame-set sizes and picks out the candidates validation must
+        // check: an empty blame set is accepted without a validity call.
+        let mut blame_sizes: Vec<u64> = Vec::new();
+        let mut pending: Vec<(LineId, Frame, &[MarkId])> = Vec::new();
+        for (line, frame, blame) in imp.unobs_iter() {
+            if cancelled() {
+                return None;
             }
-            metrics.observe("core.blame_set_size", blame.len() as u64);
+            if blame_sizes.len() <= blame.len() {
+                blame_sizes.resize(blame.len() + 1, 0);
+            }
+            blame_sizes[blame.len()] += 1;
+            if self.config.validate && !blame.is_empty() {
+                pending.push((line, frame, blame));
+            }
+        }
+        for (size, &n) in blame_sizes.iter().enumerate() {
+            metrics.observe_n("core.blame_set_size", size as u64, n);
+        }
+        if !self.config.validate {
+            return Some(sets);
+        }
+
+        let mut validity = ValidityCache::default();
+        let mut rejects = 0u64;
+        for id in imp.mark_ids() {
+            if cancelled() {
+                return None;
+            }
+            let m = imp.mark(id);
+            let fault = Fault::new(m.line, StuckValue::from_bool(!m.unc.value()));
+            if !validity.valid(self, imp, forced_cache, fault, m.frame, id) {
+                rejects += 1;
+                sets.clear(UNC, m.line, m.frame, fault.stuck);
+            }
+        }
+        pending.sort_unstable_by_key(|&(line, frame, _)| (line, frame));
+        for (line, frame, blame) in pending {
+            if cancelled() {
+                return None;
+            }
             for stuck in [StuckValue::Zero, StuckValue::One] {
                 let fault = Fault::new(line, stuck);
-                if self.config.validate
-                    && !blame
-                        .iter()
-                        .all(|&b| validity.valid(self, imp, forced_cache, fault, frame, b))
-                {
-                    metrics.incr("core.validation_rejects", 1);
-                    continue;
-                }
-                metrics.incr("core.validation_accepts", 1);
-                let min_unc_frame = blame
+                if !blame
                     .iter()
-                    .map(|&b| imp.min_frame_of(b))
-                    .min()
-                    .unwrap_or(frame);
-                add(&mut sets, fault, frame, Support { min_unc_frame });
+                    .all(|&b| validity.valid(self, imp, forced_cache, fault, frame, b))
+                {
+                    rejects += 1;
+                    sets.clear(UNOBS, line, frame, stuck);
+                }
+            }
+        }
+        let checked = imp.num_marks() as u64 + 2 * blame_sizes.iter().sum::<u64>();
+        for (name, n) in [
+            ("core.validation_accepts", checked - rejects),
+            ("core.validation_rejects", rejects),
+            ("core.validation_sweep_cap_hits", validity.cap_hits),
+        ] {
+            if n > 0 {
+                metrics.incr(name, n);
             }
         }
         Some(sets)
@@ -773,6 +764,120 @@ impl<'c> Fires<'c> {
     }
 }
 
+/// Row of [`FaultSets`] fed by uncontrollability marks.
+const UNC: usize = 0;
+/// Row of [`FaultSets`] fed by unobservability indicators.
+const UNOBS: usize = 1;
+
+/// One process's fault sets `S_v^i` as per-frame bitsets over
+/// [`LineId`], one row per (frame, source, stuck value): row
+/// `(UNC, f, s)` holds the lines whose `!s` uncontrollability mark at
+/// frame `f` was accepted, row `(UNOBS, f, s)` the lines whose
+/// unobservability indicator at `f` was accepted for s-a-`s`. Keeping the
+/// two sources apart lets [`support`] read each accepted entry's payload
+/// back from the engine.
+struct FaultSets {
+    first: Frame,
+    words: usize,
+    /// Frame-major rows of `words` words each.
+    bits: Vec<u64>,
+}
+
+impl FaultSets {
+    /// Empty sets over every frame of `window`.
+    fn new(window: &Window, num_lines: usize) -> Self {
+        let words = num_lines.div_ceil(64);
+        FaultSets {
+            first: window.leftmost(),
+            words,
+            bits: vec![0; window.len() * 4 * words],
+        }
+    }
+
+    fn offset(&self, source: usize, frame: Frame, stuck: StuckValue) -> usize {
+        let row = (frame - self.first) as usize * 4 + source * 2 + usize::from(stuck.as_bool());
+        row * self.words
+    }
+
+    fn row(&self, source: usize, frame: Frame, stuck: StuckValue) -> &[u64] {
+        let at = self.offset(source, frame, stuck);
+        &self.bits[at..at + self.words]
+    }
+
+    fn row_mut(&mut self, source: usize, frame: Frame, stuck: StuckValue) -> &mut [u64] {
+        let at = self.offset(source, frame, stuck);
+        &mut self.bits[at..at + self.words]
+    }
+
+    fn contains(&self, source: usize, line: LineId, frame: Frame, stuck: StuckValue) -> bool {
+        let i = line.index();
+        self.row(source, frame, stuck)[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn clear(&mut self, source: usize, line: LineId, frame: Frame, stuck: StuckValue) {
+        let i = line.index();
+        self.row_mut(source, frame, stuck)[i / 64] &= !(1u64 << (i % 64));
+    }
+}
+
+/// Section 5.3: `S_0^i ∩ S_1^i`. ANDs the two processes' fault sets word
+/// by word over the frames both windows contain, and turns each surviving
+/// `(fault, frame)` into an [`IdentifiedFault`] whose `c` counts the
+/// frames from the leftmost support of either process to `frame`.
+fn intersect(stem: LineId, procs: [(&Implications<'_>, &FaultSets); 2]) -> Vec<IdentifiedFault> {
+    let [(p0, s0), (p1, s1)] = procs;
+    let (w0, w1) = (p0.window(), p1.window());
+    let mut hits = Vec::new();
+    for frame in w0.leftmost().max(w1.leftmost())..=w0.rightmost().min(w1.rightmost()) {
+        for stuck in [StuckValue::Zero, StuckValue::One] {
+            let (unc0, unobs0) = (s0.row(UNC, frame, stuck), s0.row(UNOBS, frame, stuck));
+            let (unc1, unobs1) = (s1.row(UNC, frame, stuck), s1.row(UNOBS, frame, stuck));
+            let words = unc0.iter().zip(unobs0).zip(unc1.iter().zip(unobs1));
+            for (w, ((a0, b0), (a1, b1))) in words.enumerate() {
+                let mut both = (a0 | b0) & (a1 | b1);
+                while both != 0 {
+                    let line = LineId::new(w * 64 + both.trailing_zeros() as usize);
+                    both &= both - 1;
+                    let fault = Fault::new(line, stuck);
+                    let l = support(p0, s0, fault, frame).min(support(p1, s1, fault, frame));
+                    hits.push(IdentifiedFault {
+                        fault,
+                        c: if l < frame { (frame - l) as u32 } else { 0 },
+                        frame,
+                        stem,
+                    });
+                }
+            }
+        }
+    }
+    hits
+}
+
+/// The support of `fault` at `frame` in one process: the leftmost frame
+/// where uncontrollability must propagate, as the maximum over the
+/// process's accepted entries for it. A mark contributes its
+/// `min_frame`; an unobservability indicator the least `min_frame` of its
+/// blame set, or `frame` itself when the blame set is empty.
+fn support(imp: &Implications<'_>, sets: &FaultSets, fault: Fault, frame: Frame) -> Frame {
+    let from_mark = sets.contains(UNC, fault.line, frame, fault.stuck).then(|| {
+        let unc = Unc::cannot_be(!fault.stuck.as_bool());
+        let id = imp.unc_mark(fault.line, frame, unc);
+        imp.min_frame_of(id.expect("an accepted mark is present"))
+    });
+    let from_unobs = sets
+        .contains(UNOBS, fault.line, frame, fault.stuck)
+        .then(|| {
+            let blame = imp.blame(fault.line, frame);
+            let min_unc_frame = blame.iter().map(|&b| imp.min_frame_of(b)).min();
+            min_unc_frame.unwrap_or(frame)
+        });
+    from_mark
+        .into_iter()
+        .chain(from_unobs)
+        .max()
+        .expect("a surviving bit has an accepted entry")
+}
+
 /// Run-wide cache of per-fault forced-line closures (they are
 /// circuit-static, so they can be shared across every stem and process).
 /// `None` = the closure overflowed its cap and the fault must be rejected
@@ -807,6 +912,8 @@ struct ValidityCache {
     has_bad: HashMap<Fault, bool>,
     invalid: HashMap<(Fault, Frame), std::rc::Rc<Vec<bool>>>,
     sweeps: usize,
+    /// Checks rejected only because [`SWEEP_CAP`] was reached.
+    cap_hits: u64,
 }
 
 /// Upper bound on full invalidity sweeps per process. A sweep costs
@@ -850,6 +957,7 @@ impl ValidityCache {
         };
         if !self.invalid.contains_key(&(fault, key_frame)) {
             if self.sweeps >= SWEEP_CAP {
+                self.cap_hits += 1;
                 return false; // conservative: drop the candidate
             }
             self.sweeps += 1;
@@ -964,6 +1072,9 @@ fn bad_marks(
 }
 
 #[cfg(test)]
+mod assembly_reference;
+
+#[cfg(test)]
 mod tests {
     use fires_netlist::bench;
 
@@ -1052,6 +1163,57 @@ mod tests {
                 names.iter().any(|n| n.starts_with(good)),
                 "over-rejection: {good} missing from {names:?}"
             );
+        }
+    }
+
+    /// Validation counters count only what validation checked: nothing
+    /// at all without validation, and with it one verdict per entry (each
+    /// mark, and each unobservability indicator once per stuck value).
+    #[cfg(feature = "tracing")]
+    #[test]
+    fn validation_counters_count_only_checked_entries() {
+        use fires_obs::names::{VALIDATION_ACCEPTS, VALIDATION_REJECTS, VALIDATION_SWEEP_CAP_HITS};
+        // The circuit of the backward-cut regression above: validation
+        // rejects some of its candidates.
+        let circuit = bench::parse(
+            "INPUT(pi0)\nOUTPUT(f3_0_c)\nOUTPUT(po0)\nOUTPUT(po1)\n\
+             ff1 = DFF(g6)\ng0 = NOT(ff1)\ng6 = OR(ff1, g0)\n\
+             g8 = NOT(g0)\ng9 = NOT(g8)\nf3_0_b = DFF(k1)\n\
+             f3_0_c = DFF(ff1)\nf3_0_d = AND(f3_0_b, f3_0_c)\n\
+             po0 = OR(g0, f3_0_d)\npo1 = BUFF(g9)\nk1 = CONST1()\n",
+        )
+        .unwrap();
+        let never = CancelToken::never();
+        for config in [
+            FiresConfig::with_max_frames(5),
+            FiresConfig::with_max_frames(5).without_validation(),
+        ] {
+            let fires = Fires::new(&circuit, config);
+            let mut rejected = 0;
+            for stem in fires.stems() {
+                let f = fires
+                    .run_stem(stem, &mut StemCtx::new(), &never)
+                    .unwrap()
+                    .into_findings();
+                let (p0, p1) = fires.analyze_stem(stem);
+                let checked = (p0.num_marks() + p1.num_marks()) as u64
+                    + 2 * (p0.unobs_iter().count() + p1.unobs_iter().count()) as u64;
+                let (accepts, rejects) = (
+                    f.metrics.counter(VALIDATION_ACCEPTS),
+                    f.metrics.counter(VALIDATION_REJECTS),
+                );
+                rejected += rejects;
+                if config.validate {
+                    assert_eq!(accepts + rejects, checked, "stem {stem:?}");
+                } else {
+                    let names: Vec<&str> = f.metrics.counters().map(|(n, _)| n).collect();
+                    for name in [VALIDATION_ACCEPTS, VALIDATION_REJECTS] {
+                        assert!(!names.contains(&name), "{name} recorded: {names:?}");
+                    }
+                }
+                assert_eq!(f.metrics.counter(VALIDATION_SWEEP_CAP_HITS), 0);
+            }
+            assert_eq!(rejected > 0, config.validate, "the circuit has rejections");
         }
     }
 

@@ -97,6 +97,10 @@ mod stub {
         #[inline(always)]
         pub fn observe(&mut self, _name: &str, _v: u64) {}
 
+        /// Discards a bulk histogram observation.
+        #[inline(always)]
+        pub fn observe_n(&mut self, _name: &str, _v: u64, _n: u64) {}
+
         /// Merging nothing into nothing.
         #[inline(always)]
         pub fn merge(&mut self, _other: &RunMetrics) {}

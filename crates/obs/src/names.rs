@@ -1,4 +1,5 @@
-//! Canonical metric names for the service layer.
+//! Canonical metric names for the service layer and for the engine's
+//! validation counters.
 //!
 //! `fires serve` reports its counters through [`RunMetrics`] and CI greps
 //! them out of status/exit reports; a typo'd name on either side fails
@@ -8,6 +9,8 @@
 //!
 //! Naming scheme:
 //!
+//! * `core.validation_*` — Definition-6 validation in `fires-core`'s
+//!   fault-set assembly, recorded only when validation runs;
 //! * `serve.*` — ordinary service counters (admission, cache, workers);
 //! * `serve.degraded.*` — a fault path *fired and was absorbed*: the
 //!   daemon kept serving, in a reduced mode, instead of failing. A chaos
@@ -17,6 +20,15 @@
 //!   ([`REJECTED_PREFIX`]).
 //!
 //! [`RunMetrics`]: crate::RunMetrics
+
+/// Fault-set entries (a mark, or an unobservability indicator for one
+/// stuck value) that Definition-6 validation accepted.
+pub const VALIDATION_ACCEPTS: &str = "core.validation_accepts";
+/// Fault-set entries that Definition-6 validation rejected.
+pub const VALIDATION_REJECTS: &str = "core.validation_rejects";
+/// Validity checks rejected only because the process had used up its
+/// invalidity-sweep cap; each one is a candidate dropped conservatively.
+pub const VALIDATION_SWEEP_CAP_HITS: &str = "core.validation_sweep_cap_hits";
 
 /// Submit requests received (before any admission decision).
 pub const SUBMISSIONS: &str = "serve.submissions";
@@ -132,10 +144,24 @@ mod tests {
             super::DEGRADED_STALLS,
             super::DEGRADED_DISK_FAULTS,
         ];
-        let unique: std::collections::BTreeSet<_> = all.iter().collect();
-        assert_eq!(unique.len(), all.len(), "duplicate metric name");
-        for name in all {
-            assert!(name.starts_with("serve."), "{name}");
+        let core = [
+            super::VALIDATION_ACCEPTS,
+            super::VALIDATION_REJECTS,
+            super::VALIDATION_SWEEP_CAP_HITS,
+        ];
+        let unique: std::collections::BTreeSet<_> = all.iter().chain(&core).collect();
+        assert_eq!(
+            unique.len(),
+            all.len() + core.len(),
+            "duplicate metric name"
+        );
+        for name in all.into_iter().chain(core) {
+            let prefix = if name.starts_with("core.") {
+                "core.validation_"
+            } else {
+                "serve."
+            };
+            assert!(name.starts_with(prefix), "{name}");
             assert!(!name.ends_with('.'), "{name}");
             assert!(
                 name.bytes().all(|b| b.is_ascii_lowercase()

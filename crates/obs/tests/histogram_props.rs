@@ -154,6 +154,45 @@ proptest! {
         prop_assert_eq!(back.p99(), h.p99());
     }
 
+    /// `observe_n(v, n)` is `n` calls of `observe(v)`, for a single
+    /// histogram and through the registry, and stays so through a JSON
+    /// round trip (the bulk path records per-stem blame-set sizes).
+    #[test]
+    fn observe_n_equals_repeated_observe(
+        seed in vec(value_strategy(), 0..10),
+        batches in vec((value_strategy(), 0u64..40), 0..12),
+        exact in vec((json_exact_strategy(), 0u64..40), 0..12),
+    ) {
+        let mut bulk = observe_all(&seed);
+        let mut one_by_one = bulk.clone();
+        for &(v, n) in &batches {
+            bulk.observe_n(v, n);
+            for _ in 0..n {
+                one_by_one.observe(v);
+            }
+        }
+        prop_assert_eq!(&bulk, &one_by_one);
+
+        let mut bulk = Histogram::default();
+        let mut one_by_one = Histogram::default();
+        let mut registry = fires_obs::RunMetrics::new();
+        for &(v, n) in &exact {
+            bulk.observe_n(v, n);
+            registry.observe_n("h", v, n);
+            for _ in 0..n {
+                one_by_one.observe(v);
+            }
+        }
+        let text = bulk.to_json().to_pretty();
+        let back = Histogram::from_json(&fires_obs::Json::parse(&text).unwrap()).unwrap();
+        prop_assert_eq!(&back, &one_by_one);
+        let reloaded = fires_obs::RunMetrics::from_json(
+            &fires_obs::Json::parse(&registry.to_json().to_pretty()).unwrap(),
+        )
+        .unwrap();
+        prop_assert_eq!(reloaded.histogram("h"), (one_by_one.count() > 0).then_some(&one_by_one));
+    }
+
     /// Quantiles stay bracketed by the exact extremes for any stream.
     #[test]
     fn quantiles_stay_in_range(values in vec(value_strategy(), 1..50)) {

@@ -67,6 +67,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1033,6 +1034,11 @@ impl Inner {
                     message: format!("request line exceeds {max} bytes"),
                 },
             );
+            if !line.ends_with('\n') {
+                // Closing a socket with unread input resets it: a client
+                // still writing its line would get EPIPE, not the error.
+                discard_line(reader.into_inner().into_inner(), DISCARD_CAP);
+            }
             return;
         }
         let request = match Request::parse(line.trim()) {
@@ -1268,9 +1274,9 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     }
     let listener =
         UnixListener::bind(&cfg.socket).map_err(|e| format!("{}: {e}", cfg.socket.display()))?;
-    // Non-blocking so the accept loop can poll the SIGTERM latch and
-    // orchestrate the drain; accepted streams are switched back to
-    // blocking before handlers touch them.
+    // Non-blocking so the accept loop can check the SIGTERM latch and
+    // orchestrate the drain between waits; accepted streams are switched
+    // back to blocking before handlers touch them.
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("{}: {e}", cfg.socket.display()))?;
@@ -1401,7 +1407,9 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
                     .spawn(move || inner.handle(stream));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(15));
+                // A connection or a signal ends the wait at once; the
+                // timeout bounds how long the flags above go unchecked.
+                signal::wait_readable(listener.as_raw_fd(), Duration::from_millis(15));
             }
             Err(_) => continue,
         }
@@ -1431,9 +1439,46 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// The most input [`discard_line`] reads past an oversized request line.
+const DISCARD_CAP: u64 = 16 << 20;
+
+/// Reads and drops input up to the next newline, end of input, a read
+/// error or `cap` bytes, whichever comes first, through a fixed buffer.
+fn discard_line(stream: impl Read, cap: u64) {
+    let mut rest = BufReader::new(stream.take(cap));
+    loop {
+        let Ok(buf) = rest.fill_buf() else {
+            return;
+        };
+        if buf.is_empty() {
+            return;
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => return rest.consume(at + 1),
+            None => {
+                let n = buf.len();
+                rest.consume(n);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn discard_line_stops_at_the_newline_or_the_cap() {
+        // The peer keeps its end open: only the newline can end the read.
+        let (mut client, server) = UnixStream::pair().unwrap();
+        client.write_all(&[b'x'; 10_000]).unwrap();
+        client.write_all(b"\n").unwrap();
+        discard_line(&server, 1 << 20);
+        // Without a newline the cap ends it.
+        let mut endless: &[u8] = &[b'x'; 100];
+        discard_line(&mut endless, 40);
+        assert_eq!(endless.len(), 60);
+    }
 
     #[test]
     fn counters_hand_out_monotonic_indices() {
