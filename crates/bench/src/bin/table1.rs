@@ -7,21 +7,19 @@
 //! Pass `--json <path>` to also write a machine-readable run report and
 //! `--threads N|auto` to size the identification stage's worker pool.
 //! The trace below is produced by direct engine calls; the final
-//! identification runs as a `fires-jobs` campaign like the other tables.
+//! identification is a plain FIRES run, like every other experiment.
 
-use fires_bench::{
-    jobs_campaign, reject_unknown_flags, JsonOut, ProfileOut, TextTable, Threads, TraceOut,
-};
+use fires_bench::{reject_unknown_flags, run_fires, JsonOut, ProfileOut, TextTable, Threads};
 use fires_core::{Fires, FiresConfig, IndicatorView};
 
 fn main() {
     let (json, mut args) = JsonOut::from_env();
-    let trace = TraceOut::extract(&mut args);
     let profile = ProfileOut::extract(&mut args);
     let threads = Threads::extract(&mut args).count();
     reject_unknown_flags(&args);
     let circuit = fires_circuits::figures::figure7();
-    let fires = Fires::new(&circuit, FiresConfig::with_max_frames(3));
+    let config = FiresConfig::with_max_frames(3);
+    let fires = Fires::new(&circuit, config);
     let stem = fires.lines().stem_of(circuit.find("c").expect("stem c"));
 
     println!("Table 1: sequential implications for the stem `c` of Figure 7");
@@ -51,28 +49,25 @@ fn main() {
         println!("{}", t.render());
     }
 
-    let (campaign, _journal) = jobs_campaign("table1-fig7", &["fig7"], true, Some(3), threads);
-    let task = &campaign.tasks[0];
+    let report = run_fires(&circuit, config, threads);
     println!("c-cycle redundant faults identified by FIRES:");
     let mut t = TextTable::new(["Fault", "c", "frame"]);
-    for (f, name) in task.faults.iter().zip(&task.fault_names) {
-        t.row([name.clone(), f.c.to_string(), f.frame.to_string()]);
+    for f in report.redundant_faults() {
+        t.row([
+            f.fault.display(report.lines(), &circuit),
+            f.c.to_string(),
+            f.frame.to_string(),
+        ]);
     }
     println!("{}", t.render());
-    let zero_cycle = task.faults.iter().filter(|f| f.c == 0).count();
-    let max_c = task.faults.iter().map(|f| f.c).max().unwrap_or(0);
     println!(
         "{} faults, {} zero-cycle, max c = {}",
-        task.faults.len(),
-        zero_cycle,
-        max_c
+        report.len(),
+        report.num_zero_cycle(),
+        report.max_c()
     );
 
-    let (reports, _) = campaign.run_reports();
-    let mut rr = reports.into_iter().next().expect("one task");
-    rr.tool = "table1".into();
-    rr.subject = "figure7".into();
+    let rr = report.run_report("table1", "figure7");
     json.write(&rr);
     profile.write(&rr);
-    trace.write();
 }

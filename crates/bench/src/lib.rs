@@ -22,43 +22,17 @@ use std::time::Duration;
 
 use fires_atpg::AtpgConfig;
 use fires_core::{Fires, FiresConfig, FiresReport, IdentifiedFault};
-use fires_jobs::{CampaignReport, CampaignSpec, RunnerConfig};
 use fires_netlist::{Circuit, Fault};
 
 mod reporting;
 
-pub use reporting::{
-    json_row, record_campaign, record_fault_sim, JsonOut, ProfileOut, Threads, TraceOut,
-};
+pub use reporting::{json_row, record_campaign, record_fault_sim, JsonOut, ProfileOut, Threads};
 
-/// Runs FIRES on `threads` workers. Results are the same for every
-/// thread count; only wall-clock changes.
+/// Runs FIRES on `threads` workers; every experiment binary identifies
+/// faults through this call. Results are the same for every thread
+/// count; only wall-clock changes.
 pub fn run_fires(circuit: &Circuit, config: FiresConfig, threads: usize) -> FiresReport<'_> {
     Fires::new(circuit, config).run_threaded(threads)
-}
-
-/// Bounded-effort knobs the table binaries forward to their campaigns
-/// (failure model in DESIGN.md §10).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CampaignTuning {
-    /// Per-stem implication-step budget; over-budget stems are journaled
-    /// as `exhausted` and excluded from result claims. `None` runs
-    /// unbudgeted.
-    pub step_budget: Option<u64>,
-    /// How often a panicked unit is re-run before quarantine.
-    pub retries: u32,
-}
-
-impl CampaignTuning {
-    /// Removes `--step-budget N` and `--retries N` flags from `args`,
-    /// leaving positional arguments in place (same idiom as
-    /// [`Threads::extract`]).
-    pub fn extract(args: &mut Vec<String>) -> CampaignTuning {
-        CampaignTuning {
-            step_budget: extract_number(args, "--step-budget"),
-            retries: extract_number(args, "--retries").unwrap_or(0),
-        }
-    }
 }
 
 /// Removes `--flag N` / `--flag=N` from `args` and parses `N`; a value
@@ -107,78 +81,6 @@ fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
         }
     }
     value
-}
-
-/// Runs the named circuits as a `fires-jobs` campaign and returns the
-/// merged report. This is how the table binaries drive their FIRES
-/// stage: per-stem work units, panic isolation and an on-disk journal —
-/// a crash mid-table loses at most one stem of work, and the journal can
-/// be resumed with the `fires` CLI.
-///
-/// The journal lives in a per-process temp directory (bench runs are
-/// throwaway campaigns); its path is returned alongside the report.
-pub fn jobs_campaign(
-    name: &str,
-    circuits: &[&str],
-    validate: bool,
-    frames: Option<usize>,
-    threads: usize,
-) -> (CampaignReport, std::path::PathBuf) {
-    jobs_campaign_tuned(
-        name,
-        circuits,
-        validate,
-        frames,
-        threads,
-        CampaignTuning::default(),
-    )
-}
-
-/// [`jobs_campaign`] with explicit bounded-effort tuning.
-pub fn jobs_campaign_tuned(
-    name: &str,
-    circuits: &[&str],
-    validate: bool,
-    frames: Option<usize>,
-    threads: usize,
-    tuning: CampaignTuning,
-) -> (CampaignReport, std::path::PathBuf) {
-    let mut spec = CampaignSpec::from_circuits(name, circuits.iter().copied());
-    for t in &mut spec.tasks {
-        t.validate = validate;
-        t.frames = frames;
-        t.step_budget = tuning.step_budget;
-    }
-    let dir = std::env::temp_dir().join(format!("fires-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-        panic!("cannot create campaign dir {}: {e}", dir.display());
-    });
-    let journal = dir.join(format!("{name}.jsonl"));
-    let _ = std::fs::remove_file(&journal);
-    let rc = RunnerConfig {
-        threads,
-        retries: tuning.retries,
-        ..Default::default()
-    };
-    let summary = fires_jobs::run(&spec, &journal, &rc)
-        .unwrap_or_else(|e| panic!("campaign {name:?} failed: {e}"));
-    assert!(
-        summary.complete(),
-        "campaign {name:?} left units unprocessed"
-    );
-    if summary.panicked + summary.timed_out + summary.exhausted > 0 {
-        eprintln!(
-            "warning: campaign {name:?}: {} unit(s) degraded ({} panicked, {} timed out, {} exhausted); see {}",
-            summary.panicked + summary.timed_out + summary.exhausted,
-            summary.panicked,
-            summary.timed_out,
-            summary.exhausted,
-            journal.display()
-        );
-    }
-    let report = fires_jobs::report(&journal)
-        .unwrap_or_else(|e| panic!("campaign {name:?} unreadable: {e}"));
-    (report, journal)
 }
 
 /// A minimal fixed-width text table (the paper's tables are plain text).
@@ -263,9 +165,8 @@ pub fn hitec_like() -> AtpgConfig {
 /// The fault targets a FIRES run hands to the comparison ATPG: the faults
 /// identified without validation, exactly as in the paper's Tables 3–4
 /// ("the faults found by FIRES (without validation) were passed as the
-/// only targets to the test generators"). Takes the identified-fault
-/// slice so both the direct driver ([`FiresReport::redundant_faults`])
-/// and a merged campaign ([`fires_jobs::TaskReport`]) feed it.
+/// only targets to the test generators"), taken from
+/// [`FiresReport::redundant_faults`].
 pub fn fires_targets(identified: &[IdentifiedFault]) -> Vec<Fault> {
     identified.iter().map(|f| f.fault).collect()
 }

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use fires_atpg::CampaignSummary;
-use fires_obs::{ChromeTraceSubscriber, Json, RunReport};
+use fires_obs::{Json, RunReport};
 use fires_sim::FaultSimSummary;
 
 use crate::extract_flag;
@@ -110,61 +110,6 @@ impl ProfileOut {
             path.display(),
             folded_path.display()
         );
-    }
-}
-
-/// The `--trace <path>` Chrome-trace destination extracted from the
-/// command line.
-///
-/// When requested, the process-wide trace subscriber is installed at
-/// extraction time (so every span from that point on is captured) and
-/// [`TraceOut::write`] saves the collected events as a Chrome Trace
-/// Event Format document — loadable in Perfetto or `chrome://tracing`,
-/// with one lane per worker thread.
-#[derive(Clone, Debug, Default)]
-pub struct TraceOut {
-    path: Option<PathBuf>,
-    subscriber: Option<&'static ChromeTraceSubscriber>,
-}
-
-impl TraceOut {
-    /// Removes a `--trace <path>` or `--trace=<path>` flag from `args`,
-    /// leaving positional arguments in place, and installs the trace
-    /// subscriber when the flag was given.
-    pub fn extract(args: &mut Vec<String>) -> TraceOut {
-        let path = extract_flag(args, "--trace").map(PathBuf::from);
-        let subscriber = if path.is_some() {
-            let installed = fires_obs::install_chrome_trace();
-            if installed.is_none() {
-                eprintln!(
-                    "warning: --trace ignored: another trace subscriber is already installed"
-                );
-            }
-            installed
-        } else {
-            None
-        };
-        TraceOut { path, subscriber }
-    }
-
-    /// Whether `--trace` was passed (and the subscriber won the global
-    /// slot).
-    pub fn active(&self) -> bool {
-        self.path.is_some() && self.subscriber.is_some()
-    }
-
-    /// Writes the collected trace if `--trace` was passed (otherwise a
-    /// no-op). Failing to write a trace the user asked for aborts the
-    /// run, same as [`JsonOut::write`].
-    pub fn write(&self) {
-        let (Some(path), Some(subscriber)) = (&self.path, self.subscriber) else {
-            return;
-        };
-        if let Err(e) = subscriber.write_trace(path) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        println!("wrote Chrome trace to {}", path.display());
     }
 }
 

@@ -14,7 +14,7 @@ use fires_netlist::{graph, Circuit, GateKind, LineGraph, LineId, LineKind, NodeI
 
 use crate::cancel::CancelToken;
 use crate::guard::{BudgetMeter, ExhaustionReason};
-use crate::instrument::{core_event, core_profile, RuleProfile, RuleSteps};
+use crate::instrument::{core_profile, RuleProfile, RuleSteps};
 use crate::window::{Frame, Window};
 use crate::FiresConfig;
 
@@ -886,7 +886,6 @@ impl<'c> Implications<'c> {
         let queued = (self.queue.len() - self.qhead) + (self.uqueue.len() - self.uqhead);
         if let Some(reason) = self.meter.exceeded(queued, self.indicator_bytes) {
             self.exhausted = Some(reason);
-            core_event!("core.budget_exhausted", reason = reason.as_str());
             return true;
         }
         self.meter.note_step();
@@ -906,11 +905,6 @@ impl<'c> Implications<'c> {
                 return None;
             }
             self.stats.window_extensions += 1;
-            core_event!(
-                "core.frame_extended",
-                frame = frame as i64,
-                marks = self.marks.len()
-            );
             self.ensure_const_axioms();
         }
         let bit = unc.bit();

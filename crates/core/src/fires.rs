@@ -9,7 +9,7 @@ use crate::cancel::CancelToken;
 use crate::engine::{DistCache, EngineScratch, Implications, IndicatorView, MarkId, Unc};
 use crate::error::CoreError;
 use crate::guard::{Budget, BudgetMeter, ExhaustionReason};
-use crate::instrument::{core_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
+use crate::instrument::{PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
 use crate::report::{fold_identified, FiresReport, IdentifiedFault, ProcessTrace};
 use crate::window::{Frame, Window};
 use crate::{FiresConfig, ValidationPolicy};
@@ -339,7 +339,7 @@ impl<'c> Fires<'c> {
     /// partitioned — the property `fires-jobs` builds on.
     ///
     /// Findings flagged [`exhausted`](StemFindings::exhausted) contribute
-    /// their statistics (marks, frames, metrics) but **never** their
+    /// their statistics (marks, frames, metrics, profile) but **never** their
     /// faults: a budget-cut stem's fault sets are non-final and must not
     /// back the report's redundancy claims.
     pub fn assemble_report(&self, findings: Vec<StemFindings>) -> FiresReport<'c> {
@@ -356,12 +356,14 @@ impl<'c> Fires<'c> {
                 .flat_map(|f| f.faults.iter().copied()),
         );
         let mut metrics = RunMetrics::new();
+        let mut profile = RuleProfile::new();
         let mut max_frames = 1usize;
         for f in findings {
             max_frames = max_frames.max(f.frames_used);
             // Already holds `core.exhausted_stems` for a budget-cut stem,
             // so it is not counted again here.
             metrics.merge(&f.metrics);
+            profile.merge(&f.profile);
             for (name, d) in &f.phase_times.phases {
                 clock.add(name, *d);
             }
@@ -378,6 +380,7 @@ impl<'c> Fires<'c> {
             max_frames_used: max_frames,
             metrics,
             phase_times: clock.finish(),
+            profile,
         }
     }
 
@@ -483,7 +486,6 @@ impl<'c> Fires<'c> {
         ctx: &mut StemCtx,
         cancel: &CancelToken,
     ) -> Result<StemFindings, CoreError> {
-        let _span = core_span!("core.stem", stem = stem.index());
         let interrupted = || CoreError::Interrupted { stem };
         // Upfront check so a token that fired before this unit started
         // (e.g. an already-expired deadline) trips deterministically even

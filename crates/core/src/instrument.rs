@@ -1,48 +1,16 @@
 //! Internal facade over `fires-obs`, compiled away without the `tracing`
 //! feature.
 //!
-//! The rest of the crate records metrics, splits phase timings and opens
-//! spans unconditionally through the types and macros defined here. With
-//! the (default-on) `tracing` feature these are the real `fires-obs`
+//! The rest of the crate records metrics, splits phase timings and
+//! attributes implication steps to rules unconditionally through the
+//! types and the `core_profile!` macro defined here. With the
+//! (default-on) `tracing` feature these are the real `fires-obs`
 //! implementations; with `--no-default-features` they become no-op stubs
 //! — `fires-core` then has no dependencies beyond `fires-netlist` and the
 //! instrumentation costs nothing, while every call site stays identical.
 
 #[cfg(feature = "tracing")]
 pub use fires_obs::{PhaseClock, PhaseTimes, ProfileRule, RuleProfile, RuleSteps, RunMetrics};
-
-/// Opens an instrumentation span (no-op without the `tracing` feature).
-#[cfg(feature = "tracing")]
-macro_rules! core_span {
-    ($($tt:tt)*) => {
-        ::fires_obs::obs_span!($($tt)*)
-    };
-}
-
-/// Emits an instrumentation event (no-op without the `tracing` feature).
-#[cfg(feature = "tracing")]
-macro_rules! core_event {
-    ($($tt:tt)*) => {
-        ::fires_obs::obs_event!($($tt)*)
-    };
-}
-
-// The field expressions are wrapped in never-called closures so they are
-// name-checked but not evaluated, keeping call sites warning-free without
-// runtime cost.
-#[cfg(not(feature = "tracing"))]
-macro_rules! core_span {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {
-        { $( let _ = || $value; )* }
-    };
-}
-
-#[cfg(not(feature = "tracing"))]
-macro_rules! core_event {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {
-        { $( let _ = || $value; )* }
-    };
-}
 
 /// Records one application of a named implication rule into a
 /// [`RuleProfile`] (no-op without the `tracing` feature). The rule is
@@ -69,7 +37,7 @@ macro_rules! core_profile {
     }};
 }
 
-pub(crate) use {core_event, core_profile, core_span};
+pub(crate) use core_profile;
 
 #[cfg(not(feature = "tracing"))]
 mod stub {

@@ -14,7 +14,7 @@
 
 use fires_netlist::{Circuit, Fault, GateKind, LineGraph, LineKind, NetlistError};
 
-use crate::instrument::{core_event, PhaseClock, PhaseTimes, RunMetrics};
+use crate::instrument::{PhaseClock, PhaseTimes, RunMetrics};
 use crate::report::IdentifiedFault;
 use crate::{Fires, FiresConfig};
 
@@ -350,12 +350,6 @@ pub fn remove_redundancies(
                 continue;
             }
             let name = cand.fault.display(report.lines(), &current);
-            core_event!(
-                "removal.fault_removed",
-                iteration = iterations,
-                c = cand.c,
-                fault = name.as_str(),
-            );
             required_c = required_c.max(cand.c);
             removed.push((name, cand.c));
             current = next;

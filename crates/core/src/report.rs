@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use fires_netlist::{Circuit, Fault, LineGraph, LineId};
 
-use crate::instrument::{PhaseTimes, RunMetrics};
+use crate::instrument::{PhaseTimes, RuleProfile, RunMetrics};
 use crate::window::Frame;
 
 /// One fault identified by FIRES.
@@ -89,6 +89,7 @@ pub struct FiresReport<'c> {
     pub(crate) max_frames_used: usize,
     pub(crate) metrics: RunMetrics,
     pub(crate) phase_times: PhaseTimes,
+    pub(crate) profile: RuleProfile,
 }
 
 impl<'c> FiresReport<'c> {
@@ -180,14 +181,21 @@ impl<'c> FiresReport<'c> {
         &self.metrics
     }
 
+    /// The per-rule hotspot profile merged across every processed stem.
+    /// Empty (a no-op stub) when the `tracing` feature is disabled.
+    pub fn profile(&self) -> &RuleProfile {
+        &self.profile
+    }
+
     /// Assembles a schema-versioned machine-readable run report: the run
-    /// metrics and phase times plus headline results (fault counts, `c`
-    /// histogram) under `extra`.
+    /// metrics, phase times and per-rule hotspot profile plus headline
+    /// results (fault counts, `c` histogram) under `extra`.
     #[cfg(feature = "tracing")]
     pub fn run_report(&self, tool: &str, subject: &str) -> fires_obs::RunReport {
         let mut r = fires_obs::RunReport::new(tool, subject);
         r.set_phase_times(&self.phase_times);
         r.metrics = self.metrics.clone();
+        r.profile = (!self.profile.is_empty()).then(|| self.profile.clone());
         r.set_extra("identified_faults", self.len() as u64);
         r.set_extra("zero_cycle", self.num_zero_cycle() as u64);
         r.set_extra("max_c", u64::from(self.max_c()));

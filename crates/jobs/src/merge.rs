@@ -319,6 +319,58 @@ mod tests {
             );
             assert_eq!(merged.tasks[t].marks, direct.marks_created() as u64);
             assert!(merged.tasks[t].clean(), "{}", task.name);
+
+            // The direct report carries the same per-rule steps as the
+            // merged campaign profile, and hands them to its run report.
+            let direct_profile = direct.profile();
+            assert_eq!(
+                direct.run_report("direct", &task.name).profile.as_ref(),
+                Some(direct_profile)
+            );
+            let merged_profile = merged.tasks[t].profile.as_ref().expect("merged profile");
+            for rule in fires_obs::ALL_RULES {
+                assert_eq!(
+                    direct_profile.steps(rule),
+                    merged_profile.steps(rule),
+                    "{} {}",
+                    task.name,
+                    rule.name()
+                );
+            }
+            assert_eq!(
+                direct_profile.unattributed_steps(),
+                merged_profile.unattributed_steps()
+            );
+
+            // And the same engine metrics, apart from the two that only
+            // report assembly adds. A wall-clock histogram's sum differs
+            // between two runs; its count does not.
+            let only_direct =
+                |name: &str| name == "core.identified_faults" || name == "core.max_frames_used";
+            let (d, m) = (direct.metrics(), &merged.tasks[t].metrics);
+            let counters = |r: &RunMetrics| -> Vec<(String, u64)> {
+                r.counters()
+                    .filter(|(n, _)| n.starts_with("core.") && !only_direct(n))
+                    .map(|(n, v)| (n.to_string(), v))
+                    .collect()
+            };
+            assert_eq!(counters(d), counters(m), "{}", task.name);
+            let maxima = |r: &RunMetrics| -> Vec<(String, u64)> {
+                r.maxima()
+                    .filter(|(n, _)| !only_direct(n))
+                    .map(|(n, v)| (n.to_string(), v))
+                    .collect()
+            };
+            assert_eq!(maxima(d), maxima(m), "{}", task.name);
+            let histograms = |r: &RunMetrics| -> Vec<(String, u64, Option<u64>)> {
+                r.histograms()
+                    .map(|(n, h)| {
+                        let sum = (!fires_obs::compare::is_time_metric(n)).then(|| h.sum());
+                        (n.to_string(), h.count(), sum)
+                    })
+                    .collect()
+            };
+            assert_eq!(histograms(d), histograms(m), "{}", task.name);
         }
         assert!(merged.tasks.iter().any(|t| !t.faults.is_empty()));
     }

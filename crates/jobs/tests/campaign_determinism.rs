@@ -2,17 +2,15 @@
 //! byte-identical canonical reports across thread counts and across
 //! kill-and-resume at *every* cut point, on generated-circuit campaigns.
 
-use std::path::PathBuf;
+mod common;
+
 use std::time::Duration;
 
 use fires_jobs::{report, resume, run, CampaignSpec, Injection, RunnerConfig};
 use proptest::prelude::*;
 
-fn temp_journal(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-det-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("job.jsonl")
+fn temp_journal(name: &str) -> common::TempJournal {
+    common::TempJournal::new("fires-det", name, "job.jsonl")
 }
 
 /// Runs `spec` to completion in one go and returns the canonical report

@@ -4,17 +4,14 @@
 //! identical* canonical report of a fault-free run, as long as the
 //! retry policy gives every unit a chance to eventually succeed.
 
-use std::path::PathBuf;
+mod common;
+
 use std::time::Duration;
 
 use fires_jobs::{report, resume, run, CampaignSpec, ChaosPlan, RunnerConfig};
 
-fn temp_journal(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-chaos-{}-{}", std::process::id(), tag));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("campaign.jsonl");
-    let _ = std::fs::remove_file(&path);
-    path
+fn temp_journal(tag: &str) -> common::TempJournal {
+    common::TempJournal::new("fires-chaos", tag, "campaign.jsonl")
 }
 
 fn spec() -> CampaignSpec {

@@ -1,13 +1,9 @@
 //! Chrome Trace Event Format export.
 //!
-//! Converts the [`TraceRecord`] stream produced by the tracing facade
-//! into a `trace.json` document loadable in `chrome://tracing` or
-//! Perfetto. The facade's records carry no timestamps or thread
-//! identity (keeping the hot path cheap), so this module provides
-//! [`ChromeTraceSubscriber`]: a collector that stamps every record with
-//! microseconds-since-origin and a small per-thread *lane* number
-//! assigned in first-seen order. Worker threads of the jobs pool each
-//! get their own lane, which Chrome renders as separate tracks.
+//! The daemon's event log (`fires-serve`, DESIGN.md §15) derives each
+//! request's spans and instants as [`TimedRecord`]s, and
+//! [`trace_events_named`] turns them into a `trace.json` document
+//! loadable in `chrome://tracing` or Perfetto.
 //!
 //! Event mapping (see the Trace Event Format spec):
 //!
@@ -19,112 +15,58 @@
 //! Timestamps (`ts`) are microseconds, as the format requires. All
 //! events share `pid` 1 — the exporter describes one process.
 
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Mutex;
-use std::thread::ThreadId;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::Json;
-use crate::trace::{lock_unpoisoned, FieldValue, Subscriber, TraceRecord};
 
-/// One facade record stamped with a timestamp and a thread lane.
+/// One field value attached to a span or event.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Float.
+    F64(f64),
+    /// Text.
+    Str(String),
+}
+
+/// One span or event, before it is stamped with a time and a lane.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TraceRecord {
+    /// Span opened.
+    SpanEnter {
+        /// Span name.
+        name: &'static str,
+        /// Fields at open.
+        fields: Vec<(&'static str, FieldValue)>,
+    },
+    /// Span closed.
+    SpanExit {
+        /// Span name.
+        name: &'static str,
+        /// Wall-clock duration.
+        elapsed: Duration,
+    },
+    /// Point event.
+    Event {
+        /// Event name.
+        name: &'static str,
+        /// Event fields.
+        fields: Vec<(&'static str, FieldValue)>,
+    },
+}
+
+/// One record stamped with a timestamp and a lane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimedRecord {
-    /// Microseconds since the subscriber was created.
+    /// Microseconds since the trace's origin.
     pub ts_us: u64,
-    /// Dense per-thread lane id (0 = first thread seen).
+    /// Lane id; each lane renders as its own track.
     pub lane: u64,
-    /// The underlying facade record.
+    /// The underlying record.
     pub record: TraceRecord,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    records: Vec<TimedRecord>,
-    lanes: HashMap<ThreadId, u64>,
-}
-
-/// Subscriber that buffers timestamped records for Chrome-trace export.
-///
-/// Unlike [`CollectingSubscriber`](crate::CollectingSubscriber) it
-/// records *when* and *where* (which thread) each span and event
-/// happened, which is exactly the extra information the Trace Event
-/// Format needs. Poisoned locks are recovered, not propagated: a
-/// panicking instrumented thread must not take the collector with it.
-#[derive(Debug)]
-pub struct ChromeTraceSubscriber {
-    origin: Instant,
-    state: Mutex<State>,
-}
-
-impl Default for ChromeTraceSubscriber {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChromeTraceSubscriber {
-    /// An empty collector; timestamps count from this moment.
-    pub fn new() -> Self {
-        ChromeTraceSubscriber {
-            origin: Instant::now(),
-            state: Mutex::new(State::default()),
-        }
-    }
-
-    fn push(&self, record: TraceRecord) {
-        let ts_us = self.origin.elapsed().as_micros() as u64;
-        let tid = std::thread::current().id();
-        let mut state = lock_unpoisoned(&self.state);
-        let next = state.lanes.len() as u64;
-        let lane = *state.lanes.entry(tid).or_insert(next);
-        state.records.push(TimedRecord {
-            ts_us,
-            lane,
-            record,
-        });
-    }
-
-    /// Snapshot of everything recorded so far, in arrival order.
-    pub fn snapshot(&self) -> Vec<TimedRecord> {
-        lock_unpoisoned(&self.state).records.clone()
-    }
-
-    /// Number of distinct threads seen so far.
-    pub fn lane_count(&self) -> usize {
-        lock_unpoisoned(&self.state).lanes.len()
-    }
-
-    /// The complete Chrome Trace Event Format document.
-    pub fn trace_json(&self) -> Json {
-        trace_events(&self.snapshot())
-    }
-
-    /// Writes the trace document to `path` (pretty-printed JSON).
-    pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.trace_json().to_pretty())
-    }
-}
-
-impl Subscriber for ChromeTraceSubscriber {
-    fn on_span_enter(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        self.push(TraceRecord::SpanEnter {
-            name,
-            fields: fields.to_vec(),
-        });
-    }
-
-    fn on_span_exit(&self, name: &'static str, elapsed: Duration) {
-        self.push(TraceRecord::SpanExit { name, elapsed });
-    }
-
-    fn on_event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        self.push(TraceRecord::Event {
-            name,
-            fields: fields.to_vec(),
-        });
-    }
 }
 
 fn field_to_json(v: &FieldValue) -> Json {
@@ -159,16 +101,8 @@ fn base_event(ph: &str, name: &str, ts_us: u64, lane: u64) -> Json {
 /// Format document (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
 ///
 /// Emits one `thread_name` metadata event per lane so the tracks are
-/// labelled (`lane-0` is the first thread that produced a record —
-/// usually the orchestrator; workers follow in first-seen order).
-pub fn trace_events(records: &[TimedRecord]) -> Json {
-    trace_events_named(records, &[])
-}
-
-/// [`trace_events`] with caller-supplied lane names.
-///
-/// `lane_names` maps lane ids to track labels; lanes not listed keep
-/// the `lane-{n}` default. The serve layer uses this to label a
+/// labelled. `lane_names` maps lane ids to track labels; lanes not
+/// listed keep the `lane-{n}` default. The serve layer uses this to label a
 /// request lane with its trace id (`request 7b1f…`), so the rendered
 /// track answers "whose submit is this" without opening the args.
 pub fn trace_events_named(records: &[TimedRecord], lane_names: &[(u64, &str)]) -> Json {
@@ -214,39 +148,10 @@ pub fn trace_events_named(records: &[TimedRecord], lane_names: &[(u64, &str)]) -
     doc
 }
 
-/// Creates a [`ChromeTraceSubscriber`], installs it as the process
-/// global subscriber and returns a `'static` handle for export at the
-/// end of the run. Returns `None` when a subscriber is already
-/// installed (the global slot is one-shot).
-///
-/// The subscriber is intentionally leaked — it must outlive every
-/// instrumented thread, and the CLI exports and exits right after.
-pub fn install_chrome_trace() -> Option<&'static ChromeTraceSubscriber> {
-    if crate::trace::subscriber().is_some() {
-        return None;
-    }
-    let collector: &'static ChromeTraceSubscriber =
-        Box::leak(Box::new(ChromeTraceSubscriber::new()));
-    struct Forward(&'static ChromeTraceSubscriber);
-    impl Subscriber for Forward {
-        fn on_span_enter(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-            self.0.on_span_enter(name, fields)
-        }
-        fn on_span_exit(&self, name: &'static str, elapsed: Duration) {
-            self.0.on_span_exit(name, elapsed)
-        }
-        fn on_event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-            self.0.on_event(name, fields)
-        }
-    }
-    match crate::trace::set_subscriber(Box::new(Forward(collector))) {
-        Ok(()) => Some(collector),
-        Err(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn spans_balanced(events: &[Json]) -> bool {
@@ -271,12 +176,36 @@ mod tests {
 
     #[test]
     fn structural_validity_of_exported_trace() {
-        let sub = ChromeTraceSubscriber::new();
-        sub.on_span_enter("stem", &[("id", FieldValue::U64(7))]);
-        sub.on_event("frame", &[("frame", FieldValue::I64(-1))]);
-        sub.on_span_exit("stem", Duration::from_micros(5));
+        let at = |ts_us, record| TimedRecord {
+            ts_us,
+            lane: 0,
+            record,
+        };
+        let records = vec![
+            at(
+                1,
+                TraceRecord::SpanEnter {
+                    name: "stem",
+                    fields: vec![("id", FieldValue::U64(7))],
+                },
+            ),
+            at(
+                3,
+                TraceRecord::Event {
+                    name: "frame",
+                    fields: vec![("frame", FieldValue::I64(-1))],
+                },
+            ),
+            at(
+                6,
+                TraceRecord::SpanExit {
+                    name: "stem",
+                    elapsed: Duration::from_micros(5),
+                },
+            ),
+        ];
 
-        let doc = sub.trace_json();
+        let doc = trace_events_named(&records, &[]);
         // Must survive an actual serialize/parse cycle.
         let doc = Json::parse(&doc.to_pretty()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -312,35 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_are_dense_and_per_thread() {
-        let sub = std::sync::Arc::new(ChromeTraceSubscriber::new());
-        sub.on_event("main", &[]);
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let s = std::sync::Arc::clone(&sub);
-            handles.push(std::thread::spawn(move || {
-                s.on_span_enter("work", &[]);
-                s.on_span_exit("work", Duration::ZERO);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sub.lane_count(), 4);
-        let records = sub.snapshot();
-        assert_eq!(records.len(), 7);
-        // Lane ids are dense 0..4 and each thread's records share one.
-        let mut lanes: Vec<u64> = records.iter().map(|r| r.lane).collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        assert_eq!(lanes, vec![0, 1, 2, 3]);
-        // Timestamps never run backwards in arrival order.
-        for pair in records.windows(2) {
-            assert!(pair[0].ts_us <= pair[1].ts_us);
-        }
-    }
-
-    #[test]
     fn timed_records_round_trip_through_converter() {
         let records = vec![
             TimedRecord {
@@ -368,7 +268,7 @@ mod tests {
                 },
             },
         ];
-        let doc = trace_events(&records);
+        let doc = trace_events_named(&records, &[]);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         // 2 lanes → 2 metadata events, then the 3 records in order.
         assert_eq!(events.len(), 5);

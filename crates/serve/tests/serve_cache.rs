@@ -4,6 +4,8 @@
 //! duplicate submissions build the engine exactly once (single-flight),
 //! and admission control enforces queue and tenant limits.
 
+mod common;
+
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -12,11 +14,8 @@ use std::time::{Duration, Instant};
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-serve-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-serve", tag)
 }
 
 /// Starts a server on a fresh socket, waits until it accepts.

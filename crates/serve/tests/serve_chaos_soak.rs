@@ -5,19 +5,18 @@
 //! restart, and (d) the final canonical report is byte-identical to a
 //! fault-free baseline.
 
+mod common;
+
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fires_obs::Json;
 use fires_serve::{Connection, Request, Response, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-soak-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-soak", tag)
 }
 
 fn fires() -> Command {

@@ -3,6 +3,8 @@
 //! identity), liveness verbs, the bounded request line, and the
 //! recovery scan's quarantine of unreadable journals.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -13,11 +15,8 @@ use fires_jobs::ChaosPlan;
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-drain-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-drain", tag)
 }
 
 fn start(cfg: ServeConfig) -> (PathBuf, JoinHandle<Result<(), String>>) {

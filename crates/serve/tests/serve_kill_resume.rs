@@ -4,18 +4,17 @@
 //! baseline. Drives the real binary (`CARGO_BIN_EXE_fires`), so the
 //! `serve` flag surface and the startup recovery scan are covered too.
 
+mod common;
+
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fires_serve::{Connection, Request, Response, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-skr-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-skr", tag)
 }
 
 /// Spawns `fires serve` with injected per-unit delays, so a kill

@@ -4,6 +4,8 @@
 //! binary: no other test's server can be running when the probe thread
 //! panics.
 
+mod common;
+
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -11,11 +13,8 @@ use std::time::{Duration, Instant};
 
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-panic-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-panic", tag)
 }
 
 fn start(dir: &Path) -> (PathBuf, JoinHandle<Result<(), String>>) {

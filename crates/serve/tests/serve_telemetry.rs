@@ -6,6 +6,8 @@
 //! circuit), and the `debug-dump` verb's flight-recorder dump
 //! replaying in `seq` order.
 
+mod common;
+
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -14,11 +16,8 @@ use std::time::{Duration, Instant};
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-telem-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-telem", tag)
 }
 
 fn start(cfg: ServeConfig) -> (PathBuf, JoinHandle<Result<(), String>>) {

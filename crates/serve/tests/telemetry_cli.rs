@@ -4,18 +4,16 @@
 //! flags. All drive the real binary (`CARGO_BIN_EXE_fires`), not
 //! library shims, so flag parsing and exit codes are covered too.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fires_jobs::{journal, resume, run, CampaignSpec, JournalSummary, RunnerConfig};
 use fires_obs::RunReport;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-telemetry-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-telemetry", tag)
 }
 
 fn fires() -> Command {

@@ -2,17 +2,15 @@
 //! never completes (or never appears) must exit on its own instead of
 //! hanging a CI job or a detached terminal forever.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 use fires_jobs::{run, CampaignSpec, RunnerConfig};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-wt-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> common::TempDir {
+    common::TempDir::new("fires-wt", tag)
 }
 
 fn fires() -> Command {
