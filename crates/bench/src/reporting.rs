@@ -238,12 +238,25 @@ mod tests {
         out.write(&RunReport::new("t", "s"));
     }
 
+    /// Removes a temp directory when dropped, unless the test is
+    /// panicking: a failing test keeps its evidence.
+    struct RemoveOnDrop(std::path::PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
     #[test]
     fn profile_out_writes_profile_and_folded_stacks() {
         use fires_obs::{ProfileRule, RuleProfile};
         let dir = std::env::temp_dir().join(format!("fires-profileout-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        let _cleanup = RemoveOnDrop(dir.clone());
         let path = dir.join("hotspots.json");
         let mut args = vec![format!("--profile={}", path.display()), "s27".to_string()];
         let out = ProfileOut::extract(&mut args);

@@ -7,7 +7,7 @@
 //! following line is one completed work unit:
 //!
 //! ```json
-//! {"kind":"header","schema":2,"spec":{...},"tasks":[{"circuit":"s27","hash":"93ab...","stems":9}]}
+//! {"kind":"header","schema":4,"spec":{...},"tasks":[{"circuit":"s27","hash":"93ab...","stems":9}]}
 //! {"kind":"unit","task":0,"stem":3,"status":"ok","faults":[[12,1,0,0]],"marks":41,"frames":5,"retries":0,"seconds":0.002,"phases":[["implication",0.001]],"metrics":{...}}
 //! {"kind":"event","seq":0,"task":0,"stem":4,"attempt":0,"what":"unit-retry","detail":"attempt panicked; caches rebuilt"}
 //! {"kind":"unit","task":0,"stem":4,"status":"panic","faults":[],"marks":0,"frames":0,"retries":1,"seconds":0.001,"phases":[],"metrics":{...}}
@@ -22,6 +22,12 @@
 //! raw [`LineId`](fires_netlist::LineId) indices. Both are stable across
 //! processes for a structurally identical circuit, which the header
 //! hashes verify on resume.
+//!
+//! Unit lines, the bulk of a journal, are written by
+//! [`UnitRecord::encode`] and read by [`read`] without a generic [`Json`]
+//! tree for their fault lists, byte for byte as the tree printer and
+//! parser would (see `codec_reference.rs` for the properties that hold
+//! them to it). Header, event and progress lines go through [`Json`].
 //!
 //! Every append is flushed before the runner considers the unit done, so
 //! a crash loses at most the unit being written. A torn final line (the
@@ -38,6 +44,7 @@ use std::path::Path;
 
 use fires_core::{ExhaustionReason, IdentifiedFault};
 use fires_netlist::{Fault, LineId, StuckValue};
+use fires_obs::json::{self, JsonCursor, JsonError};
 use fires_obs::{Json, RuleProfile, RunMetrics};
 
 use crate::error::JobError;
@@ -250,84 +257,171 @@ fn header_from_json(j: &Json) -> Result<JournalHeader, JobError> {
     Ok(JournalHeader { spec, tasks })
 }
 
-fn unit_to_json(u: &UnitRecord) -> Json {
-    let faults = u
-        .faults
-        .iter()
-        .map(|&(line, stuck, c, frame)| {
-            Json::Arr(vec![
-                Json::Num(line as f64),
-                Json::Num(if stuck { 1.0 } else { 0.0 }),
-                Json::Num(c as f64),
-                Json::Num(frame as f64),
-            ])
-        })
-        .collect();
-    let phases = u
-        .phases
-        .iter()
-        .map(|(name, secs)| Json::Arr(vec![Json::Str(name.clone()), Json::Num(*secs)]))
-        .collect();
-    let mut j = Json::object();
-    j.set("kind", "unit")
-        .set("task", u.task as u64)
-        .set("stem", u.stem as u64)
-        .set("status", u.status.as_str())
-        .set("faults", Json::Arr(faults))
-        .set("marks", u.marks)
-        .set("frames", u.frames)
-        .set("retries", u.retries)
-        .set("seconds", u.seconds)
-        .set("phases", Json::Arr(phases))
-        .set("metrics", u.metrics.to_json());
-    if let Some(reason) = u.reason {
-        j.set("reason", reason.as_str());
+/// A unit record encoded as its journal line, without the newline.
+///
+/// [`UnitRecord::encode`] writes the bytes the generic [`Json`] printer
+/// would give the record's object (sorted keys, the same number and
+/// string rendering) without building a tree for `faults`, the bulk of a
+/// large unit. It is a type of its own so the runner can encode a record
+/// before it takes the journal lock.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnitLine(String);
+
+impl UnitLine {
+    /// The encoded line.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
-    if let Some(profile) = &u.profile {
-        j.set("profile", profile.to_json());
-    }
-    j
 }
 
-fn unit_from_json(j: &Json) -> Result<UnitRecord, JobError> {
-    let int = |name: &str| {
-        j.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| JobError::journal(format!("unit record field {name:?} missing")))
-    };
-    let status = j
-        .get("status")
-        .and_then(Json::as_str)
-        .and_then(UnitStatus::parse)
-        .ok_or_else(|| JobError::journal("unit record has no valid status"))?;
-    let faults = j
-        .get("faults")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| JobError::journal("unit record has no fault array"))?
-        .iter()
-        .map(|f| {
-            let f = f
-                .as_arr()
-                .filter(|f| f.len() == 4)
-                .ok_or_else(|| JobError::journal("fault entry is not a 4-element array"))?;
-            let num = |i: usize| {
-                f[i].as_f64()
-                    .ok_or_else(|| JobError::journal("fault entry is not numeric"))
+impl UnitRecord {
+    /// Encodes this record as its journal line.
+    pub fn encode(&self) -> UnitLine {
+        let mut out = String::with_capacity(1024 + 16 * self.faults.len());
+        // Keys in the byte order a `Json` object prints them.
+        out.push_str("{\"faults\":[");
+        for (i, &(line, stuck, c, frame)) in self.faults.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::write_int(line.into(), &mut out);
+            out.push_str(if stuck { ",1," } else { ",0," });
+            json::write_int(c.into(), &mut out);
+            out.push(',');
+            json::write_int(frame.into(), &mut out);
+            out.push(']');
+        }
+        out.push_str("],\"frames\":");
+        json::write_number(self.frames as f64, &mut out);
+        out.push_str(",\"kind\":\"unit\",\"marks\":");
+        json::write_number(self.marks as f64, &mut out);
+        out.push_str(",\"metrics\":");
+        self.metrics.to_json().write_compact(&mut out);
+        out.push_str(",\"phases\":[");
+        for (i, (name, secs)) in self.phases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::write_string(name, &mut out);
+            out.push(',');
+            json::write_number(*secs, &mut out);
+            out.push(']');
+        }
+        out.push(']');
+        if let Some(profile) = &self.profile {
+            out.push_str(",\"profile\":");
+            profile.to_json().write_compact(&mut out);
+        }
+        if let Some(reason) = self.reason {
+            out.push_str(",\"reason\":");
+            json::write_string(reason.as_str(), &mut out);
+        }
+        out.push_str(",\"retries\":");
+        json::write_number(self.retries as f64, &mut out);
+        out.push_str(",\"seconds\":");
+        json::write_number(self.seconds, &mut out);
+        out.push_str(",\"status\":");
+        json::write_string(self.status.as_str(), &mut out);
+        out.push_str(",\"stem\":");
+        json::write_number(self.stem as f64, &mut out);
+        out.push_str(",\"task\":");
+        json::write_number(self.task as f64, &mut out);
+        out.push('}');
+        UnitLine(out)
+    }
+}
+
+/// A fault list as decoded, or the first reason it is not one.
+type DecodedFaults = Result<Vec<(u32, bool, u32, i32)>, &'static str>;
+
+/// The members of one journal line that a unit record reads, collected in
+/// one walk. Only `faults` is decoded on the way; every other member is
+/// kept as its (small) tree and checked by [`UnitFields::into_unit`]. A
+/// repeated key keeps its last value, as the parser's map does; unknown
+/// keys are walked and dropped.
+#[derive(Default)]
+struct UnitFields {
+    kind: Option<Json>,
+    status: Option<Json>,
+    faults: Option<DecodedFaults>,
+    phases: Option<Json>,
+    metrics: Option<Json>,
+    profile: Option<Json>,
+    reason: Option<Json>,
+    task: Option<Json>,
+    stem: Option<Json>,
+    marks: Option<Json>,
+    frames: Option<Json>,
+    retries: Option<Json>,
+    seconds: Option<Json>,
+}
+
+impl UnitFields {
+    /// Walks one line. Fails exactly when the line is not a complete JSON
+    /// object.
+    fn walk(line: &str) -> Result<UnitFields, JsonError> {
+        let mut f = UnitFields::default();
+        let mut cursor = JsonCursor::new(line);
+        cursor.object(|key, cursor| {
+            let slot = match key {
+                "faults" => {
+                    f.faults = Some(decode_faults(cursor)?);
+                    return Ok(());
+                }
+                "kind" => &mut f.kind,
+                "status" => &mut f.status,
+                "phases" => &mut f.phases,
+                "metrics" => &mut f.metrics,
+                "profile" => &mut f.profile,
+                "reason" => &mut f.reason,
+                "task" => &mut f.task,
+                "stem" => &mut f.stem,
+                "marks" => &mut f.marks,
+                "frames" => &mut f.frames,
+                "retries" => &mut f.retries,
+                "seconds" => &mut f.seconds,
+                _ => {
+                    cursor.value()?;
+                    return Ok(());
+                }
             };
-            Ok((
-                num(0)? as u32,
-                num(1)? != 0.0,
-                num(2)? as u32,
-                num(3)? as i32,
-            ))
-        })
-        .collect::<Result<Vec<_>, JobError>>()?;
-    // Observability extras: tolerated when absent (they carry no result
-    // data), rejected when present but malformed.
-    let phases = match j.get("phases") {
-        None => Vec::new(),
-        Some(p) => {
-            p.as_arr()
+            *slot = Some(cursor.value()?);
+            Ok(())
+        })?;
+        cursor.finish()?;
+        Ok(f)
+    }
+
+    fn kind(&self) -> Option<&str> {
+        self.kind.as_ref().and_then(Json::as_str)
+    }
+
+    /// The unit record these members make, checked field by field in a
+    /// fixed order so a malformed record always reports the same error.
+    fn into_unit(self) -> Result<UnitRecord, JobError> {
+        let int = |v: &Option<Json>, name: &str| {
+            v.as_ref()
+                .and_then(Json::as_u64)
+                .ok_or_else(|| JobError::journal(format!("unit record field {name:?} missing")))
+        };
+        let status = self
+            .status
+            .as_ref()
+            .and_then(Json::as_str)
+            .and_then(UnitStatus::parse)
+            .ok_or_else(|| JobError::journal("unit record has no valid status"))?;
+        let faults = self
+            .faults
+            .unwrap_or(Err("unit record has no fault array"))
+            .map_err(JobError::journal)?;
+        // Observability extras: tolerated when absent (they carry no result
+        // data), rejected when present but malformed.
+        let phases = match &self.phases {
+            None => Vec::new(),
+            Some(p) => p
+                .as_arr()
                 .ok_or_else(|| JobError::journal("unit phases is not an array"))?
                 .iter()
                 .map(|e| {
@@ -342,47 +436,91 @@ fn unit_from_json(j: &Json) -> Result<UnitRecord, JobError> {
                         .ok_or_else(|| JobError::journal("phase seconds is not numeric"))?;
                     Ok((name.to_string(), secs))
                 })
-                .collect::<Result<Vec<_>, JobError>>()?
+                .collect::<Result<Vec<_>, JobError>>()?,
+        };
+        let metrics = match &self.metrics {
+            None => RunMetrics::default(),
+            Some(m) => RunMetrics::from_json(m)
+                .ok_or_else(|| JobError::journal("unit metrics are malformed"))?,
+        };
+        let profile = match &self.profile {
+            None => None,
+            Some(p) => Some(
+                RuleProfile::from_json(p)
+                    .ok_or_else(|| JobError::journal("unit profile is malformed"))?,
+            ),
+        };
+        let reason = match &self.reason {
+            None => None,
+            Some(r) => Some(
+                r.as_str()
+                    .and_then(ExhaustionReason::parse)
+                    .ok_or_else(|| JobError::journal("unit reason is not a known budget limit"))?,
+            ),
+        };
+        if (status == UnitStatus::Exhausted) != reason.is_some() {
+            return Err(JobError::journal(
+                "unit reason must be present exactly for exhausted units",
+            ));
         }
-    };
-    let metrics = match j.get("metrics") {
-        None => RunMetrics::default(),
-        Some(m) => RunMetrics::from_json(m)
-            .ok_or_else(|| JobError::journal("unit metrics are malformed"))?,
-    };
-    let profile = match j.get("profile") {
-        None => None,
-        Some(p) => Some(
-            RuleProfile::from_json(p)
-                .ok_or_else(|| JobError::journal("unit profile is malformed"))?,
-        ),
-    };
-    let reason = match j.get("reason") {
-        None => None,
-        Some(r) => Some(
-            r.as_str()
-                .and_then(ExhaustionReason::parse)
-                .ok_or_else(|| JobError::journal("unit reason is not a known budget limit"))?,
-        ),
-    };
-    if (status == UnitStatus::Exhausted) != reason.is_some() {
-        return Err(JobError::journal(
-            "unit reason must be present exactly for exhausted units",
-        ));
+        Ok(UnitRecord {
+            task: int(&self.task, "task")? as usize,
+            stem: int(&self.stem, "stem")? as usize,
+            status,
+            faults,
+            marks: int(&self.marks, "marks")?,
+            frames: int(&self.frames, "frames")?,
+            retries: self.retries.as_ref().and_then(Json::as_u64).unwrap_or(0),
+            reason,
+            seconds: self.seconds.as_ref().and_then(Json::as_f64).unwrap_or(0.0),
+            phases,
+            metrics,
+            profile,
+        })
     }
-    Ok(UnitRecord {
-        task: int("task")? as usize,
-        stem: int("stem")? as usize,
-        status,
-        faults,
-        marks: int("marks")?,
-        frames: int("frames")?,
-        retries: j.get("retries").and_then(Json::as_u64).unwrap_or(0),
-        reason,
-        seconds: j.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-        phases,
-        metrics,
-        profile,
+}
+
+/// Decodes a `faults` value: an array of `[line, stuck, c, frame]`
+/// number quadruples, cast as a generic reader casting each entry's f64s
+/// would. A well-formed value that is not such an array walks to its end
+/// and yields the first entry's complaint, so syntax and meaning stay
+/// apart: the caller reports the complaint only for a complete line.
+fn decode_faults(cursor: &mut JsonCursor<'_>) -> Result<DecodedFaults, JsonError> {
+    if !cursor.at(b'[') {
+        cursor.value()?;
+        return Ok(Err("unit record has no fault array"));
+    }
+    let mut faults = Vec::new();
+    let mut bad = None;
+    cursor.array(|entry| {
+        let mut nums = [None; 4];
+        let mut len = 0usize;
+        if entry.at(b'[') {
+            entry.array(|item| {
+                let v = item.number()?;
+                if let Some(slot) = nums.get_mut(len) {
+                    *slot = v;
+                }
+                len += 1;
+                Ok(())
+            })?;
+        } else {
+            entry.value()?;
+        }
+        if bad.is_none() {
+            match nums {
+                _ if len != 4 => bad = Some("fault entry is not a 4-element array"),
+                [Some(line), Some(stuck), Some(c), Some(frame)] => {
+                    faults.push((line as u32, stuck != 0.0, c as u32, frame as i32));
+                }
+                _ => bad = Some("fault entry is not numeric"),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(match bad {
+        Some(message) => Err(message),
+        None => Ok(faults),
     })
 }
 
@@ -542,7 +680,7 @@ impl Journal {
             path: path.to_path_buf(),
             next_event_seq: 0,
         };
-        j.append_line(&header_to_json(header))?;
+        j.append_line(&header_to_json(header).to_compact())?;
         Ok(j)
     }
 
@@ -569,10 +707,11 @@ impl Journal {
         })
     }
 
-    /// Appends one unit record and flushes it to the OS. After this
-    /// returns the unit will survive a process kill.
-    pub fn append(&mut self, unit: &UnitRecord) -> Result<(), JobError> {
-        self.append_line(&unit_to_json(unit))
+    /// Appends one encoded unit record (see [`UnitRecord::encode`]) and
+    /// flushes it to the OS. After this returns the unit will survive a
+    /// process kill.
+    pub fn append(&mut self, unit: &UnitLine) -> Result<(), JobError> {
+        self.append_line(unit.as_str())
     }
 
     /// Appends one observability event record (see [`EventRecord`]),
@@ -585,14 +724,14 @@ impl Journal {
             seq,
             ..event.clone()
         };
-        self.append_line(&event_to_json(&stamped))?;
+        self.append_line(&event_to_json(&stamped).to_compact())?;
         self.next_event_seq += 1;
         Ok(seq)
     }
 
     /// Appends one progress heartbeat (see [`ProgressRecord`]).
     pub fn append_progress(&mut self, progress: &ProgressRecord) -> Result<(), JobError> {
-        self.append_line(&progress_to_json(progress))
+        self.append_line(&progress_to_json(progress).to_compact())
     }
 
     /// The journal's on-disk path.
@@ -622,8 +761,7 @@ impl Journal {
         Ok(())
     }
 
-    fn append_line(&mut self, j: &Json) -> Result<(), JobError> {
-        let line = j.to_compact();
+    fn append_line(&mut self, line: &str) -> Result<(), JobError> {
         debug_assert!(!line.contains('\n'), "compact JSON is single-line");
         writeln!(self.out, "{line}").map_err(|e| JobError::io(&self.path, e))?;
         self.out.flush().map_err(|e| JobError::io(&self.path, e))
@@ -710,6 +848,54 @@ impl JournalContents {
     }
 }
 
+/// One journal line after the header.
+// Nearly every line is a unit, so boxing the large variant would only add
+// an allocation per line.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, PartialEq)]
+enum Record {
+    Unit(UnitRecord),
+    Event(EventRecord),
+    Progress(ProgressRecord),
+}
+
+/// Why a journal line did not decode.
+#[derive(Debug)]
+enum LineError {
+    /// Not complete JSON: a tear when it is the unterminated last line,
+    /// corruption anywhere else.
+    Incomplete(JsonError),
+    /// Complete JSON that is not a well-formed record: corruption wherever
+    /// it sits.
+    Malformed(JobError),
+}
+
+/// Decodes one line after the header. One walk decodes a unit line; the
+/// rarer event and progress lines are parsed again as trees.
+fn decode_line(line: &str) -> Result<Record, LineError> {
+    let fields = match UnitFields::walk(line) {
+        Ok(fields) => fields,
+        // The walk shares the parser's grammar, so it fails on complete
+        // JSON only when the line is not an object, which has no kind.
+        Err(e) if Json::parse(line).is_err() => return Err(LineError::Incomplete(e)),
+        Err(_) => return Err(LineError::Malformed(kind_error())),
+    };
+    let tree = || Json::parse(line).map_err(|e| JobError::journal(e.to_string()));
+    match fields.kind() {
+        Some("unit") => fields.into_unit().map(Record::Unit),
+        Some("event") => tree().and_then(|j| event_from_json(&j)).map(Record::Event),
+        Some("progress") => tree()
+            .and_then(|j| progress_from_json(&j))
+            .map(Record::Progress),
+        _ => Err(kind_error()),
+    }
+    .map_err(LineError::Malformed)
+}
+
+fn kind_error() -> JobError {
+    JobError::journal("record kind is not \"unit\", \"event\" or \"progress\"")
+}
+
 /// Reads a journal back, tolerating a torn final line.
 pub fn read(path: &Path) -> Result<JournalContents, JobError> {
     let text = std::fs::read_to_string(path).map_err(|e| JobError::io(path, e))?;
@@ -735,31 +921,8 @@ pub fn read(path: &Path) -> Result<JournalContents, JobError> {
         if line.trim().is_empty() {
             continue;
         }
-        let j = match Json::parse(line) {
-            Ok(j) => j,
-            Err(_) if i == last_index && !ends_with_newline => {
-                // The process died mid-append; the journal up to here is
-                // intact.
-                torn = true;
-                continue;
-            }
-            Err(e) => {
-                return Err(JobError::journal(format!(
-                    "line {}: malformed record before end of journal ({e})",
-                    i + 1
-                )));
-            }
-        };
-        let at_line = |e: JobError, i: usize| {
-            let msg = match e {
-                JobError::Journal { message } => message,
-                other => other.to_string(),
-            };
-            JobError::journal(format!("line {}: {msg}", i + 1))
-        };
-        match j.get("kind").and_then(Json::as_str) {
-            Some("unit") => {
-                let u = unit_from_json(&j).map_err(|e| at_line(e, i))?;
+        match decode_line(line) {
+            Ok(Record::Unit(u)) => {
                 if u.task >= header.tasks.len() || u.stem >= header.tasks[u.task].stems {
                     return Err(JobError::journal(format!(
                         "line {}: unit ({}, {}) is out of range for the header",
@@ -770,17 +933,25 @@ pub fn read(path: &Path) -> Result<JournalContents, JobError> {
                 }
                 units.push(u);
             }
-            Some("event") => {
-                events.push(event_from_json(&j).map_err(|e| at_line(e, i))?);
+            Ok(Record::Event(e)) => events.push(e),
+            Ok(Record::Progress(p)) => progress.push(p),
+            Err(LineError::Incomplete(_)) if i == last_index && !ends_with_newline => {
+                // The process died mid-append; the journal up to here is
+                // intact.
+                torn = true;
             }
-            Some("progress") => {
-                progress.push(progress_from_json(&j).map_err(|e| at_line(e, i))?);
-            }
-            _ => {
+            Err(LineError::Incomplete(e)) => {
                 return Err(JobError::journal(format!(
-                    "line {}: record kind is not \"unit\", \"event\" or \"progress\"",
+                    "line {}: malformed record before end of journal ({e})",
                     i + 1
                 )));
+            }
+            Err(LineError::Malformed(e)) => {
+                let msg = match e {
+                    JobError::Journal { message } => message,
+                    other => other.to_string(),
+                };
+                return Err(JobError::journal(format!("line {}: {msg}", i + 1)));
             }
         }
     }
@@ -855,14 +1026,14 @@ pub fn verify_header(
 }
 
 #[cfg(test)]
+mod codec_reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fires-jobs-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("job.jsonl")
+    fn temp(name: &str) -> crate::test_common::TempJournal {
+        crate::test_common::TempJournal::new("fires-jobs", name, "job.jsonl")
     }
 
     fn sample_header() -> JournalHeader {
@@ -898,12 +1069,15 @@ mod tests {
         profile.record_many(fires_obs::ALL_RULES[3], 7);
         profile.note_unattributed();
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&UnitRecord {
-            profile: Some(profile.clone()),
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                profile: Some(profile.clone()),
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         let back = read(&path).unwrap();
         assert_eq!(back.units[0].profile.as_ref(), Some(&profile));
@@ -924,13 +1098,16 @@ mod tests {
         let header = sample_header();
         let mut j = Journal::create(&path, &header).unwrap();
         let unit = sample_unit();
-        j.append(&unit).unwrap();
-        j.append(&UnitRecord {
-            stem: 4,
-            status: UnitStatus::Panic,
-            faults: vec![],
-            ..unit.clone()
-        })
+        j.append(&unit.encode()).unwrap();
+        j.append(
+            &UnitRecord {
+                stem: 4,
+                status: UnitStatus::Panic,
+                faults: vec![],
+                ..unit.clone()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j);
         let back = read(&path).unwrap();
@@ -955,13 +1132,16 @@ mod tests {
             detail: "attempt panicked; caches rebuilt".into(),
         })
         .unwrap();
-        j.append(&UnitRecord {
-            stem: 5,
-            status: UnitStatus::Exhausted,
-            retries: 1,
-            reason: Some(ExhaustionReason::Steps),
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                stem: 5,
+                status: UnitStatus::Exhausted,
+                retries: 1,
+                reason: Some(ExhaustionReason::Steps),
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j);
         let back = read(&path).unwrap();
@@ -995,12 +1175,15 @@ mod tests {
     fn progress_records_round_trip() {
         let path = temp("progress");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         j.append_progress(&sample_progress()).unwrap();
-        j.append(&UnitRecord {
-            stem: 4,
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                stem: 4,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j);
         let back = read(&path).unwrap();
@@ -1017,7 +1200,7 @@ mod tests {
         // kinds it wrote are a strict subset of ours.
         let path = temp("schema2");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         let text = std::fs::read_to_string(&path)
             .unwrap()
@@ -1051,7 +1234,7 @@ mod tests {
         // stay readable, carrying 0.
         let path = temp("schema3-events");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         let mut text = std::fs::read_to_string(&path)
             .unwrap()
@@ -1083,7 +1266,7 @@ mod tests {
         let mut j = Journal::create(&path, &sample_header()).unwrap();
         assert_eq!(j.append_event(&ev("first")).unwrap(), 0);
         assert_eq!(j.append_event(&ev("second")).unwrap(), 1);
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         // A resume continues the numbering where the file left off.
         let mut j2 = Journal::append_to(&path).unwrap();
@@ -1099,24 +1282,30 @@ mod tests {
     fn reason_must_match_status() {
         let path = temp("reason-mismatch");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&UnitRecord {
-            status: UnitStatus::Ok,
-            reason: Some(ExhaustionReason::Steps),
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                status: UnitStatus::Ok,
+                reason: Some(ExhaustionReason::Steps),
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         assert!(matches!(read(&path), Err(JobError::Journal { .. })));
         let path = temp("reason-missing");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&UnitRecord {
-            status: UnitStatus::Exhausted,
-            reason: None,
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                status: UnitStatus::Exhausted,
+                reason: None,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         assert!(matches!(read(&path), Err(JobError::Journal { .. })));
     }
@@ -1125,17 +1314,20 @@ mod tests {
     fn recover_repairs_a_torn_tail_and_keeps_appending() {
         let path = temp("recover");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         // Simulate a failed append that reached the disk partially.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"{\"kind\":\"unit\",\"task\":0,\"ste").unwrap();
         }
         j.recover().unwrap();
-        j.append(&UnitRecord {
-            stem: 4,
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                stem: 4,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j);
         let back = read(&path).unwrap();
@@ -1159,7 +1351,7 @@ mod tests {
     fn torn_final_line_is_dropped() {
         let path = temp("torn");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         // Simulate a crash mid-append: half a record at the end.
         let mut text = std::fs::read_to_string(&path).unwrap();
@@ -1174,17 +1366,20 @@ mod tests {
     fn append_to_truncates_a_torn_tail() {
         let path = temp("torn-append");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         let before = std::fs::read_to_string(&path).unwrap();
         let mut text = before.clone();
         text.push_str("{\"kind\":\"unit\",\"task\":0,\"st");
         std::fs::write(&path, text).unwrap();
         let mut j2 = Journal::append_to(&path).unwrap();
-        j2.append(&UnitRecord {
-            stem: 4,
-            ..sample_unit()
-        })
+        j2.append(
+            &UnitRecord {
+                stem: 4,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j2);
         // The fragment is gone and the journal is clean end-to-end.
@@ -1199,17 +1394,20 @@ mod tests {
     fn append_to_completes_a_record_missing_only_its_newline() {
         let path = temp("no-newline");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         // The kill landed between the record bytes and its '\n'.
         let mut text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.pop(), Some('\n'));
         std::fs::write(&path, text).unwrap();
         let mut j2 = Journal::append_to(&path).unwrap();
-        j2.append(&UnitRecord {
-            stem: 4,
-            ..sample_unit()
-        })
+        j2.append(
+            &UnitRecord {
+                stem: 4,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         drop(j2);
         let back = read(&path).unwrap();
@@ -1222,7 +1420,7 @@ mod tests {
     fn complete_json_with_bad_record_is_an_error_even_at_the_end() {
         let path = temp("bad-final");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         for bad in ["{\"kind\":\"unit\",\"task\":0}", "{\"kind\":\"noise\"}"] {
             let mut text = std::fs::read_to_string(&path).unwrap();
@@ -1242,13 +1440,13 @@ mod tests {
     fn mid_file_corruption_is_an_error() {
         let path = temp("corrupt");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("garbage\n");
         let mut j2 = Journal::append_to(&path).unwrap();
         std::fs::write(&path, &text).unwrap();
-        j2.append(&sample_unit()).unwrap();
+        j2.append(&sample_unit().encode()).unwrap();
         drop(j2);
         assert!(matches!(read(&path), Err(JobError::Journal { .. })));
     }
@@ -1257,13 +1455,16 @@ mod tests {
     fn out_of_range_units_are_rejected() {
         let path = temp("range");
         let mut j = Journal::create(&path, &sample_header()).unwrap();
-        j.append(&UnitRecord {
-            stem: 999,
-            ..sample_unit()
-        })
+        j.append(
+            &UnitRecord {
+                stem: 999,
+                ..sample_unit()
+            }
+            .encode(),
+        )
         .unwrap();
         // A second record so the bad one is not excusable as torn.
-        j.append(&sample_unit()).unwrap();
+        j.append(&sample_unit().encode()).unwrap();
         drop(j);
         assert!(matches!(read(&path), Err(JobError::Journal { .. })));
     }

@@ -32,8 +32,18 @@
 //! ```
 //! use fires_jobs::{runner, spec::CampaignSpec};
 //!
+//! # // Removes the directory at the end unless an assertion failed.
+//! # struct Cleanup(std::path::PathBuf);
+//! # impl Drop for Cleanup {
+//! #     fn drop(&mut self) {
+//! #         if !std::thread::panicking() {
+//! #             let _ = std::fs::remove_dir_all(&self.0);
+//! #         }
+//! #     }
+//! # }
 //! let dir = std::env::temp_dir().join(format!("fires-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
+//! # let _cleanup = Cleanup(dir.clone());
 //! let journal = dir.join("demo.jsonl");
 //! let _ = std::fs::remove_file(&journal);
 //!
@@ -57,6 +67,10 @@ pub mod runner;
 pub mod spec;
 pub mod summary;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub use chaos::{site_roll, ChaosPlan, Site};
 pub use error::JobError;
 pub use merge::{CampaignReport, TaskReport};
@@ -74,7 +88,7 @@ use std::path::Path;
 pub fn report(journal_path: &Path) -> Result<CampaignReport, JobError> {
     let contents = journal::read(journal_path)?;
     let tasks = contents.header.spec.resolve()?;
-    report_with_tasks(journal_path, &tasks)
+    report_contents(&contents, &tasks)
 }
 
 /// [`report`] over an already-resolved task list.
@@ -88,9 +102,17 @@ pub fn report_with_tasks(
     journal_path: &Path,
     tasks: &[spec::ResolvedTask],
 ) -> Result<CampaignReport, JobError> {
-    let contents = journal::read(journal_path)?;
+    report_contents(&journal::read(journal_path)?, tasks)
+}
+
+/// Verifies journal contents already read against `tasks` and merges
+/// them, so each report reads its journal once.
+fn report_contents(
+    contents: &journal::JournalContents,
+    tasks: &[spec::ResolvedTask],
+) -> Result<CampaignReport, JobError> {
     let engines = runner::build_engines(tasks)?;
     let stems: Vec<usize> = engines.iter().map(|e| e.stems().len()).collect();
     journal::verify_header(&contents.header, tasks, &stems)?;
-    Ok(merge::merge(&contents, tasks, &engines))
+    Ok(merge::merge(contents, tasks, &engines))
 }

@@ -291,11 +291,8 @@ mod tests {
     use crate::runner::{build_engines, run, RunnerConfig};
     use crate::spec::CampaignSpec;
 
-    fn temp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fires-merge-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("job.jsonl")
+    fn temp(name: &str) -> crate::test_common::TempJournal {
+        crate::test_common::TempJournal::new("fires-merge", name, "job.jsonl")
     }
 
     #[test]

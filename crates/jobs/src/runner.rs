@@ -450,7 +450,10 @@ fn execute(
                     }
                 }
             }
-            match append_with_retry(&journal, rc, task, stem, |j| j.append(&record)) {
+            // Encoded outside the journal lock, so workers do not queue
+            // behind each other's encoding.
+            let line = record.encode();
+            match append_with_retry(&journal, rc, task, stem, |j| j.append(&line)) {
                 Ok(0) => {}
                 Ok(io_retries) => {
                     retried.fetch_add(io_retries as usize, Ordering::Relaxed);
@@ -708,11 +711,8 @@ mod tests {
     use super::*;
     use crate::journal::read;
 
-    fn temp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fires-runner-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("job.jsonl")
+    fn temp(name: &str) -> crate::test_common::TempJournal {
+        crate::test_common::TempJournal::new("fires-runner", name, "job.jsonl")
     }
 
     fn small_spec() -> CampaignSpec {

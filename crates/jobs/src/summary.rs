@@ -358,11 +358,8 @@ mod tests {
     use crate::spec::CampaignSpec;
     use std::time::Duration;
 
-    fn temp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fires-summary-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("job.jsonl")
+    fn temp(name: &str) -> crate::test_common::TempJournal {
+        crate::test_common::TempJournal::new("fires-summary", name, "job.jsonl")
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The one temp-journal helper of the `fires-jobs` integration tests.
+//! The one temp-journal helper of the `fires-jobs` tests: the integration
+//! tests include it as `mod common`, the unit tests as `test_common`.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};

@@ -9,9 +9,16 @@
 //! The parser is linear in the input length: each string literal is read
 //! in one pass that copies unescaped runs whole. It relies on its `&str`
 //! input already being valid UTF-8 and never re-validates it.
+//!
+//! Typed decoders that do not want a tree for every value walk a document
+//! with a [`JsonCursor`], and typed encoders render scalars with
+//! [`write_number`] and [`write_string`]. Both are the parser's and the
+//! printer's own pieces, so there is one grammar and one rendering.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -182,8 +189,13 @@ impl Json {
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.render(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact rendering to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.render(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation and a trailing newline.
@@ -198,8 +210,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_number(*n, out),
-            Json::Str(s) => render_string(s, out),
+            Json::Num(n) => write_number(*n, out),
+            Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -227,7 +239,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, level + 1);
-                    render_string(k, out);
+                    write_string(k, out);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -242,14 +254,9 @@ impl Json {
 
     /// Strict parse of a complete JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(text, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return err(format!("trailing input at byte {pos}"));
-        }
+        let mut cursor = JsonCursor::new(text);
+        let value = cursor.value()?;
+        cursor.finish()?;
         Ok(value)
     }
 }
@@ -261,18 +268,45 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn render_number(n: f64, out: &mut String) {
+/// Appends the rendering of the number `n`: integral values up to 2^53
+/// without a fraction, other finite values in Rust's shortest round-trip
+/// form, and NaN/infinities as `null`.
+#[inline]
+pub fn write_number(n: f64, out: &mut String) {
+    // Writing to a `String` cannot fail.
     if !n.is_finite() {
         // JSON has no NaN/Inf; fold to null per common practice.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        write_int(n as i64, out);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends the integer `n` in decimal: what [`write_number`] appends for
+/// `n as f64` whenever `|n| <= 2^53`.
+#[inline]
+pub fn write_int(n: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut v = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `s` as a quoted, escaped string literal.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -281,13 +315,16 @@ fn render_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
 
+#[inline]
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -301,60 +338,181 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?.into_owned())),
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                skip_ws(bytes, pos);
+            walk_array(text, pos, |pos| {
                 items.push(parse_value(text, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
+                Ok(())
+            })?;
+            Ok(Json::Arr(items))
         }
         Some(b'{') => {
-            *pos += 1;
             let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(text, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                skip_ws(bytes, pos);
-                let value = parse_value(text, pos)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+            walk_object(text, pos, |key, pos| {
+                map.insert(key.into_owned(), parse_value(text, pos)?);
+                Ok(())
+            })?;
+            Ok(Json::Obj(map))
         }
         Some(_) => parse_number(text, pos),
+    }
+}
+
+/// Walks one array starting at `pos`, calling `item` once per element
+/// with `pos` on the element's first byte; `item` must consume exactly
+/// that element.
+fn walk_array(
+    text: &str,
+    pos: &mut usize,
+    mut item: impl FnMut(&mut usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    let bytes = text.as_bytes();
+    if bytes.get(*pos) != Some(&b'[') {
+        return err(format!("expected '[' at byte {pos}"));
+    }
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        item(pos)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return err(format!("expected ',' or ']' at byte {pos}")),
+        }
+    }
+}
+
+/// Walks one object starting at `pos`, calling `field` once per member
+/// with its key and `pos` on the value's first byte; `field` must consume
+/// exactly that value.
+fn walk_object<'a>(
+    text: &'a str,
+    pos: &mut usize,
+    mut field: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    let bytes = text.as_bytes();
+    if bytes.get(*pos) != Some(&b'{') {
+        return err(format!("expected '{{' at byte {pos}"));
+    }
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(text, pos)?;
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return err(format!("expected ':' at byte {pos}"));
+        }
+        *pos += 1;
+        skip_ws(bytes, pos);
+        field(key, pos)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return err(format!("expected ',' or '}}' at byte {pos}")),
+        }
+    }
+}
+
+/// A read position in a JSON text, for decoders that walk a document once
+/// and build a [`Json`] tree only for the values they want as trees. It
+/// accepts exactly what [`Json::parse`] accepts: the walkers are the
+/// parser's own, and a duplicate key is reported as often as it occurs,
+/// so a decoder that keeps the last value agrees with the parser's map.
+#[derive(Debug)]
+pub struct JsonCursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> JsonCursor<'a> {
+    /// A cursor at the first non-whitespace byte of `text`.
+    #[inline]
+    pub fn new(text: &'a str) -> JsonCursor<'a> {
+        let mut pos = 0;
+        skip_ws(text.as_bytes(), &mut pos);
+        JsonCursor { text, pos }
+    }
+
+    /// `true` when the next value starts with `byte` (e.g. `b'['`).
+    #[inline]
+    pub fn at(&self, byte: u8) -> bool {
+        self.text.as_bytes().get(self.pos) == Some(&byte)
+    }
+
+    /// Reads the next value as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        parse_value(self.text, &mut self.pos)
+    }
+
+    /// Reads the next value as a number without building a tree for it;
+    /// `None` when it is a value of another kind, which is read and
+    /// dropped.
+    #[inline]
+    pub fn number(&mut self) -> Result<Option<f64>, JsonError> {
+        match self.text.as_bytes().get(self.pos) {
+            // The common starts of what `parse_value` reads as a number.
+            Some(b'-' | b'0'..=b'9') => Ok(parse_number(self.text, &mut self.pos)?.as_f64()),
+            _ => Ok(self.value()?.as_f64()),
+        }
+    }
+
+    /// Walks an array, calling `item` once per element; `item` must
+    /// consume the element (with [`value`](Self::value), or a nested
+    /// walk).
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut JsonCursor<'a>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let text = self.text;
+        walk_array(text, &mut self.pos, |pos| {
+            let mut inner = JsonCursor { text, pos: *pos };
+            let done = item(&mut inner);
+            *pos = inner.pos;
+            done
+        })
+    }
+
+    /// Walks an object, calling `field` once per member with its key;
+    /// `field` must consume the member's value.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&str, &mut JsonCursor<'a>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let text = self.text;
+        walk_object(text, &mut self.pos, |key, pos| {
+            let mut inner = JsonCursor { text, pos: *pos };
+            let done = field(&key, &mut inner);
+            *pos = inner.pos;
+            done
+        })
+    }
+
+    /// Checks that only whitespace follows the walked document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        skip_ws(self.text.as_bytes(), &mut self.pos);
+        if self.pos != self.text.len() {
+            return err(format!("trailing input at byte {}", self.pos));
+        }
+        Ok(())
     }
 }
 
@@ -374,8 +532,9 @@ fn parse_keyword(
 
 /// Reads one string literal in a single pass. Unescaped runs are copied
 /// whole: `"` and `\` are ASCII, so every run boundary is a char boundary
-/// of the already-valid `text` and nothing is re-validated.
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+/// of the already-valid `text` and nothing is re-validated. A literal
+/// without escapes is borrowed from `text`.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, JsonError> {
     let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return err(format!("expected string at byte {pos}"));
@@ -388,14 +547,21 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
             .unwrap_or(bytes.len() - start);
-        out.push_str(&text[start..*pos]);
+        let run = &text[start..*pos];
         match bytes.get(*pos) {
             None => return err("unterminated string"),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                // Every escape pushes a char, so an empty `out` means none
+                // was seen.
+                if out.is_empty() {
+                    return Ok(Cow::Borrowed(run));
+                }
+                out.push_str(run);
+                return Ok(Cow::Owned(out));
             }
             Some(_) => {
+                out.push_str(run);
                 // The scan stops only at `"` or `\`, so this is an escape.
                 *pos += 1;
                 match bytes.get(*pos) {
@@ -433,11 +599,27 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+#[inline]
 fn parse_number(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    if negative {
         *pos += 1;
+    }
+    // Nearly every number in a journal is a short integer. A run of at
+    // most 15 digits is below 2^53, so its value is exact as an f64 and
+    // equals what `str::parse::<f64>` returns (`-0` included).
+    let digits = *pos;
+    let mut v = 0u64;
+    while let Some(&d @ b'0'..=b'9') = bytes.get(*pos) {
+        v = v.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        *pos += 1;
+    }
+    let more = matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+    if !more && (1..=15).contains(&(*pos - digits)) {
+        let v = v as f64;
+        return Ok(Json::Num(if negative { -v } else { v }));
     }
     while matches!(
         bytes.get(*pos),

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use fires_obs::Json;
+use fires_obs::{json, Json};
 use proptest::prelude::*;
 
 /// Arbitrary text: ASCII, 2-byte (`é`, `߷`), 3-byte (`中`, `✓`) and 4-byte
@@ -125,6 +125,51 @@ proptest! {
         for (cut, _) in doc.char_indices().skip(1) {
             prop_assert!(Json::parse(&doc[..cut]).is_err(), "accepted {:?}", &doc[..cut]);
         }
+    }
+}
+
+/// The number rendering from before `write_number` wrote into its
+/// buffer: a temporary `String` per number.
+fn reference_number(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_string()
+    } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+    /// `write_number` and `write_int` print what the reference prints,
+    /// for any bit pattern (NaN and the infinities included) and for
+    /// integers on both sides of 2^53.
+    #[test]
+    fn numbers_render_as_before(bits in any::<u64>(), int in any::<i64>(), shift in 0u32..64) {
+        let small = int >> shift;
+        for n in [f64::from_bits(bits), int as f64, small as f64] {
+            let mut out = String::new();
+            json::write_number(n, &mut out);
+            prop_assert_eq!(out, reference_number(n));
+        }
+        let mut out = String::new();
+        json::write_int(small, &mut out);
+        prop_assert_eq!(out, small.to_string());
+    }
+
+    /// Number literals, with or without the short-integer shape the
+    /// parser reads without `str::parse`, read as `str::parse` reads them
+    /// and are refused where it refuses them.
+    #[test]
+    fn numbers_parse_as_str_parse_does(text in "-?[0-9]{0,18}([.eE][-+]?[0-9]{0,3})?") {
+        prop_assert_eq!(
+            Json::parse(&text).ok().and_then(|j| j.as_f64()).map(f64::to_bits),
+            text.parse::<f64>().ok().map(f64::to_bits),
+            "text={:?}",
+            text
+        );
     }
 }
 

@@ -472,11 +472,15 @@ pub(crate) fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_common::TempDir;
 
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fires-events-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A log directory inside a fresh temp directory, itself not created
+    /// (some tests check that nothing was written). The guard removes the
+    /// temp directory.
+    fn temp(name: &str) -> (TempDir, PathBuf) {
+        let root = TempDir::new("fires-events", name);
+        let dir = root.join("log");
+        (root, dir)
     }
 
     fn n(n: u64) -> Fields {
@@ -544,7 +548,8 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events_and_global_seqs() {
-        let log = EventLog::new(4, temp("ring"));
+        let (_tmp, dir) = temp("ring");
+        let log = EventLog::new(4, dir);
         assert!(log.ring().0.is_empty());
         for i in 0..10u64 {
             log.record("tick", None, n(i));
@@ -561,7 +566,8 @@ mod tests {
 
     #[test]
     fn render_is_replayable_jsonl_in_seq_order() {
-        let log = EventLog::new(8, temp("render"));
+        let (_tmp, dir) = temp("render");
+        let log = EventLog::new(8, dir);
         log.record("admit", None, n(1));
         log.record("reject", None, n(2));
         let (text, events) = log.render("unit-test");
@@ -589,7 +595,7 @@ mod tests {
 
     #[test]
     fn dump_writes_one_file_and_reports_event_count() {
-        let dir = temp("dump");
+        let (_tmp, dir) = temp("dump");
         let log = EventLog::new(8, &dir);
         log.record("drain", None, n(7));
         let (path, events) = log.dump("drain-timeout").unwrap();
@@ -607,7 +613,8 @@ mod tests {
 
     #[test]
     fn recording_is_safe_across_threads() {
-        let log = Arc::new(EventLog::new(64, temp("threads")));
+        let (_tmp, dir) = temp("threads");
+        let log = Arc::new(EventLog::new(64, dir));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let log = Arc::clone(&log);
@@ -629,7 +636,8 @@ mod tests {
 
     #[test]
     fn trace_ids_are_unique_per_mint_and_depend_on_the_key() {
-        let log = EventLog::new(1, temp("mint"));
+        let (_tmp, dir) = temp("mint");
+        let log = EventLog::new(1, dir);
         let a = log.mint(7);
         let b = log.mint(7);
         let c = log.mint(8);
@@ -640,7 +648,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_renders_one_connected_lane() {
-        let dir = temp("lifecycle");
+        let (_tmp, dir) = temp("lifecycle");
         let log = EventLog::new(8, &dir);
         let key = 0xabcd;
         let (id, _) = admit(&log, key, "queued", "ci");
@@ -715,7 +723,7 @@ mod tests {
 
     #[test]
     fn records_without_an_attached_request_are_dropped() {
-        let dir = temp("unattached");
+        let (_tmp, dir) = temp("unattached");
         let log = EventLog::new(8, &dir);
         // No request attached: lane events go nowhere.
         log.record("claim", Some(9), Vec::new());
@@ -727,7 +735,7 @@ mod tests {
 
     #[test]
     fn deduped_requests_each_get_their_own_trace_file() {
-        let dir = temp("dedup");
+        let (_tmp, dir) = temp("dedup");
         let log = EventLog::new(8, &dir);
         let key = 5;
         let (first, _) = admit(&log, key, "queued", "a");
@@ -754,7 +762,7 @@ mod tests {
     fn open_spans_are_closed_on_finish() {
         // A drain checkpoints a job mid-engine: the written trace must
         // still balance.
-        let dir = temp("drain");
+        let (_tmp, dir) = temp("drain");
         let log = EventLog::new(8, &dir);
         let key = 11;
         admit(&log, key, "queued", "t");
@@ -771,7 +779,7 @@ mod tests {
 
     #[test]
     fn cache_hits_write_a_short_circuit_trace() {
-        let dir = temp("hit");
+        let (_tmp, dir) = temp("hit");
         let log = EventLog::new(8, &dir);
         let (id, written) = admit(&log, 3, "cache-hit", "acme");
         assert_eq!(written, 1);

@@ -42,6 +42,10 @@ pub mod server;
 pub mod signal;
 pub mod subscribers;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub use cache::ResultCache;
 pub use client::Connection;
 pub use events::{EventLog, SCHEMA};

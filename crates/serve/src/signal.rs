@@ -114,9 +114,7 @@ mod tests {
         use std::os::unix::net::{UnixListener, UnixStream};
         use std::time::Instant;
 
-        let dir = std::env::temp_dir().join(format!("fires-poll-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_common::TempDir::new("fires-poll", "wake");
         let path = dir.join("s.sock");
         let listener = UnixListener::bind(&path).unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -132,7 +130,6 @@ mod tests {
         wait_readable(fd, Duration::from_secs(10));
         assert!(woken.elapsed() < Duration::from_secs(5));
         assert!(listener.accept().is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The one temp-directory helper of the `fires-serve` integration tests.
+//! The one temp-directory helper of the `fires-serve` tests: the
+//! integration tests include it as `mod common`, the unit tests as
+//! `test_common`.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
